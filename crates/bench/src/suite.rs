@@ -358,7 +358,7 @@ pub fn run_suite(label: &str, scale: &SuiteScale) -> BenchReport {
             total_t_clk += rec.t_clk_ps;
             // Deterministic occasional "errors" keep the feedback-path
             // update live in the measurement.
-            controller.observe(rec.t_clk_ps % 97 == 0);
+            controller.observe(rec.t_clk_ps.is_multiple_of(97));
         }
         let dfs_s = t0.elapsed().as_secs_f64();
         assert!(total_t_clk > 0, "controller recommended no clock mass");

@@ -17,8 +17,7 @@
 //!                    [--prev-a <u32>] [--prev-b <u32>]
 //! tevot sweep        --model model.tevot [--grid fig3|paper] [--fu <unit>]
 //!                    [--vectors N] [--seed S] [--clock-ps N]
-//! tevot serve        --model model.tevot [--addr host:port]
-//!                    [--max-queue N] [--batch N] [--batch-wait-ms N]
+//! tevot serve        --model model.tevot [--addr host:port] [--max-queue N]
 //!                    [--slo spec,spec] [--no-watch] [--shadow-every N]
 //! tevot top          [--addr host:port] [--interval-ms N] [--once]
 //! tevot prom-check   [--addr host:port]
@@ -90,8 +89,7 @@ tevot — timing-error modeling of functional units (TEVoT, DAC 2020)
                      [--guardband-ps <X>] (--a <u32> --b <u32>
                      [--prev-a] [--prev-b] | --workload trace.txt |
                      --fu <unit> [--vectors N] [--seed S]) [--validate]
-  tevot serve        --model model.tevot [--addr <host:port>]
-                     [--max-queue N] [--batch N] [--batch-wait-ms N]
+  tevot serve        --model model.tevot [--addr <host:port>] [--max-queue N]
                      [--slo spec,spec] [--no-watch] [--watch-resolution-ms N]
                      [--watch-capacity N] [--shadow-every N] [--psi-alert X]
                      [--replicas N] [--port-file <path>]
@@ -105,12 +103,11 @@ workload traces: one `aaaaaaaa bbbbbbbb` hex pair per line, `#` comments.
 engines: levelized (default; bit-parallel, 64 cycles per pass) | event
          (event-driven oracle); both produce bit-identical results.
 
-serve (online inference; see DESIGN.md for the batching architecture):
+serve (online inference; each connection's thread predicts inline, see
+DESIGN.md for the threading model):
   --addr <host:port>   bind address (default 127.0.0.1:7450; :0 picks a port)
-  --max-queue <N>      admission bound; beyond it requests shed with
-                       HTTP 503 + Retry-After (default 256)
-  --batch <N>          max jobs merged per microbatch (default 32)
-  --batch-wait-ms <N>  how long a microbatch waits for company (default 1)
+  --max-queue <N>      admission bound on requests in flight; beyond it
+                       requests shed with HTTP 503 + Retry-After (default 256)
   endpoints: POST /predict | POST /ter | POST /dfs | POST /models/<name> |
              GET /models | GET /healthz | GET /metrics[?format=prom] |
              GET /watch | GET /profile  (folded stacks; sampling starts
@@ -827,14 +824,12 @@ fn cmd_sweep(args: &Args) -> Result<(), Box<dyn Error>> {
 
 /// `tevot serve`: the online inference server (tevot-serve). Loads
 /// `--model` as the `default` registry entry, binds `--addr`, and serves
-/// until the process is killed. Worker count comes from the global
-/// `--jobs` flag / `TEVOT_JOBS`, like every other command.
+/// until the process is killed. Each connection's thread runs its own
+/// predictions, so `--jobs` does not apply.
 fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     let model_path = args.require("model")?.to_owned();
     let addr = args.get("addr").unwrap_or("127.0.0.1:7450").to_owned();
     let max_queue: usize = args.get_or("max-queue", 256)?;
-    let batch: usize = args.get_or("batch", 32)?;
-    let batch_wait_ms: u64 = args.get_or("batch-wait-ms", 1)?;
     let no_watch = args.flag("no-watch");
     let watch_resolution_ms: u64 = args.get_or("watch-resolution-ms", 1000)?;
     let watch_capacity: usize = args.get_or("watch-capacity", 600)?;
@@ -856,9 +851,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     if max_queue == 0 {
         return Err(ArgError("--max-queue must be at least 1".into()).into());
     }
-    if batch == 0 {
-        return Err(ArgError("--batch must be at least 1".into()).into());
-    }
     if watch_resolution_ms == 0 || watch_capacity == 0 {
         return Err(
             ArgError("--watch-resolution-ms and --watch-capacity must be >= 1".into()).into()
@@ -875,15 +867,12 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         // Replicated serving: this process becomes the consistent-hash
         // router and each replica is a plain single-replica `tevot
         // serve` child on an ephemeral port (DESIGN.md §17).
-        let mut base_args = vec!["--model".to_owned(), model_path.clone()];
-        for (flag, value) in [
-            ("--max-queue", max_queue.to_string()),
-            ("--batch", batch.to_string()),
-            ("--batch-wait-ms", batch_wait_ms.to_string()),
-        ] {
-            base_args.push(flag.to_owned());
-            base_args.push(value);
-        }
+        let mut base_args = vec![
+            "--model".to_owned(),
+            model_path.clone(),
+            "--max-queue".to_owned(),
+            max_queue.to_string(),
+        ];
         if no_watch {
             base_args.push("--no-watch".to_owned());
         }
@@ -927,10 +916,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let config = tevot_serve::ServeConfig {
         addr: addr.clone(),
-        jobs: 0, // resolve the global --jobs / TEVOT_JOBS setting
         max_queue,
-        batch,
-        batch_wait: std::time::Duration::from_millis(batch_wait_ms),
         watch,
         ..tevot_serve::ServeConfig::default()
     };
@@ -944,8 +930,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         write_port_file(path, &server.local_addr().to_string())?;
     }
     outln!(
-        "serving {model_path} as {:?} on http://{}  (queue {max_queue}, batch {batch}, \
-         wait {batch_wait_ms} ms, watch {})",
+        "serving {model_path} as {:?} on http://{}  (max in flight {max_queue}, watch {})",
         tevot_serve::DEFAULT_MODEL,
         server.local_addr(),
         if no_watch { "off".to_owned() } else { format!("every {watch_resolution_ms} ms") },

@@ -136,10 +136,11 @@ fn characterize_writes_sdf() {
 
 #[test]
 fn serve_validates_arguments_before_binding() {
-    // Missing --model and nonsense sizing are usage errors (exit 2),
-    // reported before anything touches the network.
+    // Missing --model, nonsense sizing and unknown flags (the server
+    // has no batching knobs) are usage errors (exit 2), reported before
+    // anything touches the network.
     assert_eq!(run_code(&["serve"]), 2);
-    assert_eq!(run_code(&["serve", "--model", "x.tevot", "--batch", "0"]), 2);
+    assert_eq!(run_code(&["serve", "--model", "x.tevot", "--batch-wait-ms", "1"]), 2);
     assert_eq!(run_code(&["serve", "--model", "x.tevot", "--max-queue", "0"]), 2);
     // A missing model file fails fast with the I/O exit code instead of
     // leaving a listener bound with an empty registry.

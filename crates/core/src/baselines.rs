@@ -390,7 +390,7 @@ mod tests {
     fn duplicate_conditions_merge() {
         let cs = chars();
         let doubled: Vec<&Characterization> = cs.iter().chain(cs.iter()).collect();
-        let db = DelayBased::calibrate(doubled.into_iter());
+        let db = DelayBased::calibrate(doubled);
         assert_eq!(db.max_delay_ps(cs[0].condition()), cs[0].max_dynamic_delay_ps());
     }
 }

@@ -69,7 +69,7 @@ pub struct ProcessReplicaLauncher {
     /// The serve executable (normally the `tevot` binary).
     pub program: PathBuf,
     /// Arguments after `serve` and before the router-owned `--addr` /
-    /// `--port-file` flags (model path, batching knobs...).
+    /// `--port-file` flags (model path, admission bound...).
     pub base_args: Vec<String>,
     /// Directory for `replica-{i}.addr` port files.
     pub port_dir: PathBuf,

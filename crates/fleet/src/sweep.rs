@@ -205,6 +205,9 @@ pub fn run_sweep(
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(workers));
         let respawns = Arc::new(AtomicUsize::new(spec.max_respawns));
+        // Thread-mode workers run under the caller's scoped failpoints,
+        // as process workers run under its `TEVOT_FAIL`.
+        let failpoints = tevot_resil::fail::inherit();
         let monitors: Vec<_> = (0..workers)
             .map(|slot| {
                 let mode = spec.mode.clone();
@@ -213,7 +216,9 @@ pub fn run_sweep(
                 let stop = Arc::clone(&stop);
                 let active = Arc::clone(&active);
                 let respawns = Arc::clone(&respawns);
+                let failpoints = failpoints.clone();
                 std::thread::spawn(move || {
+                    let _failpoints = failpoints.enter();
                     monitor_slot(slot, &mode, &addr, &table, &stop, &respawns);
                     active.fetch_sub(1, Ordering::Relaxed);
                 })
@@ -447,7 +452,11 @@ fn run_process_worker(
 fn run_thread_worker(addr: &str, id: &str, stop: &Arc<AtomicBool>) -> Exit {
     let addr = addr.to_string();
     let id_owned = id.to_string();
-    let handle = std::thread::spawn(move || crate::worker::run(&addr, &id_owned));
+    let failpoints = tevot_resil::fail::inherit();
+    let handle = std::thread::spawn(move || {
+        let _failpoints = failpoints.enter();
+        crate::worker::run(&addr, &id_owned)
+    });
     loop {
         if handle.is_finished() {
             return match handle.join() {
@@ -511,8 +520,8 @@ mod tests {
     #[test]
     fn fleet_survives_every_worker_dying() {
         // After two clean evaluations, fleet.task panics every worker
-        // thread (replacements included — the env-scoped failpoint is
-        // process-global in thread mode). The respawn budget drains,
+        // thread (replacements included — thread-mode workers inherit
+        // the test's scoped failpoints). The respawn budget drains,
         // every slot goes dark, and the coordinator still finishes with
         // the correct result.
         let dir = scratch("chaos");

@@ -25,7 +25,7 @@ fn rows(
 ) -> impl Strategy<Value = Vec<(Vec<f64>, f64)>> {
     vec(
         (
-            vec(prop_oneof![Just(0.0), Just(1.0), (-100.0f64..100.0)], num_features),
+            vec(prop_oneof![Just(0.0), Just(1.0), -100.0f64..100.0], num_features),
             -1000.0f64..1000.0,
         ),
         len,
@@ -144,7 +144,7 @@ proptest! {
                 unique.push(row, label);
             }
         }
-        prop_assume!(unique.len() >= 1);
+        prop_assume!(!unique.is_empty());
         let knn = KnnRegressor::fit(&unique, 1);
         for (row, label) in unique.iter() {
             prop_assert_eq!(knn.predict(row), label);

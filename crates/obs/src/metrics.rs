@@ -314,10 +314,13 @@ pub static SERVE_DFS_LATENCY_US: Histogram = Histogram::new(
     "serve.dfs_latency_us",
     &[50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 1000000],
 );
-/// Jobs merged into each executed microbatch.
+/// Jobs per microbatch of the removed serve batcher. Nothing records
+/// it and it is not registered, so reports never show it; it stays
+/// defined only because the repository benchmark (`perfbench`) still
+/// imports it, and goes when that reader does.
 pub static SERVE_BATCH_JOBS: Histogram =
     Histogram::new("serve.batch_jobs", &[1, 2, 4, 8, 16, 32, 64, 128, 256]);
-/// Prediction queue depth observed at each admission.
+/// Prediction requests in flight, observed at each admission.
 pub static SERVE_QUEUE_DEPTH: Histogram =
     Histogram::new("serve.queue_depth", &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
 
@@ -364,13 +367,12 @@ static COUNTERS: [&Counter; 40] = [
     &ALLOC_BYTES,
 ];
 
-static HISTOGRAMS: [&Histogram; 7] = [
+static HISTOGRAMS: [&Histogram; 6] = [
     &SIM_CYCLE_DELAY_PS,
     &SIM_TOGGLES_PER_CYCLE,
     &SERVE_PREDICT_LATENCY_US,
     &SERVE_TER_LATENCY_US,
     &SERVE_DFS_LATENCY_US,
-    &SERVE_BATCH_JOBS,
     &SERVE_QUEUE_DEPTH,
 ];
 

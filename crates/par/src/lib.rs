@@ -36,6 +36,13 @@
 //! worker gets its own lane in the exported Perfetto timeline; every
 //! completed task increments the `par.tasks` counter.
 //!
+//! # Fault injection
+//!
+//! Every task evaluates the `par.task` failpoint. Workers run under the
+//! calling thread's scoped failpoint configuration
+//! ([`tevot_resil::fail::scoped`]), so a test that injects faults into a
+//! parallel region reaches its workers and nothing else.
+//!
 //! # Examples
 //!
 //! ```
@@ -166,12 +173,15 @@ where
 
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let failpoints = tevot_resil::fail::inherit();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let cursor = &cursor;
             let f = &f;
+            let failpoints = &failpoints;
             scope.spawn(move || {
+                let _failpoints = failpoints.enter();
                 // One span per worker: its own lane in the trace timeline
                 // (worker threads are fresh, so each gets a fresh tid).
                 let _lane = tevot_obs::span!("par.worker");
@@ -277,12 +287,15 @@ where
 
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let failpoints = tevot_resil::fail::inherit();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
             let cursor = &cursor;
             let f = &f;
+            let failpoints = &failpoints;
             scope.spawn(move || {
+                let _failpoints = failpoints.enter();
                 let _lane = tevot_obs::span!("par.worker");
                 loop {
                     if token.is_cancelled() {

@@ -3,10 +3,19 @@
 //!
 //! A failpoint *site* is a named hook compiled into fallible code —
 //! checkpoint I/O, VCD parsing, model persistence, `tevot-par` workers.
-//! With nothing configured, evaluating a site is one relaxed atomic load
-//! and a never-taken branch. Configuration comes from the `TEVOT_FAIL`
-//! environment variable (parsed once, at the first evaluation) or
-//! programmatically from tests via [`scoped`].
+//! With nothing configured, evaluating a site is two relaxed atomic
+//! loads and a never-taken branch.
+//!
+//! Configuration comes from two places:
+//!
+//! * **Process-wide:** the `TEVOT_FAIL` environment variable (parsed
+//!   once, at the first evaluation; this is how chaos runs and child
+//!   processes are armed) or [`configure`].
+//! * **Thread-scoped:** [`scoped`], for tests. The override replaces the
+//!   process-wide configuration on the calling thread only, and on the
+//!   threads that thread hands it to through [`inherit`] (`tevot-par`
+//!   workers do this), so a fault one test injects never fires inside a
+//!   test running concurrently on another thread.
 //!
 //! # Specification grammar
 //!
@@ -32,12 +41,14 @@
 //!
 //! Example: `TEVOT_FAIL=ckpt.write=io@0.3,par.task=panic#5`.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The action a configured site performs when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,8 +108,19 @@ const STATE_ENABLED: u8 = 2;
 
 static SITES: Mutex<Option<HashMap<String, Site>>> = Mutex::new(None);
 
-/// Serializes tests that reconfigure failpoints; held by [`scoped`].
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
+/// A thread-scoped configuration, shared (hit counters included) by the
+/// thread that installed it and every thread it was inherited by.
+type Scope = Arc<Mutex<HashMap<String, Site>>>;
+
+/// Threads currently running under a scoped override; while it is zero
+/// the fast path never touches thread-local storage. Relaxed suffices:
+/// only the thread that installed a scope must see its own increment,
+/// which program order guarantees.
+static SCOPED_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static LOCAL: RefCell<Option<Scope>> = const { RefCell::new(None) };
+}
 
 fn unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -199,9 +221,12 @@ pub fn clear() {
     install(HashMap::new());
 }
 
-/// Whether any site is currently armed.
+/// Whether any site is currently armed for the calling thread.
 pub fn is_enabled() -> bool {
-    STATE.load(Ordering::Relaxed) == STATE_ENABLED
+    match local_scope() {
+        Some(scope) => unpoisoned(&scope).values().any(|s| s.action != FailAction::Off),
+        None => STATE.load(Ordering::Relaxed) == STATE_ENABLED,
+    }
 }
 
 /// Evaluates the failpoint `site`.
@@ -220,33 +245,49 @@ pub fn is_enabled() -> bool {
 /// Panics for a firing `panic` site — deliberately, to simulate a crash.
 #[inline]
 pub fn eval(site: &str) -> Result<(), io::Error> {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_DISABLED => Ok(()),
-        _ => eval_slow(site),
+    if STATE.load(Ordering::Relaxed) == STATE_DISABLED
+        && SCOPED_THREADS.load(Ordering::Relaxed) == 0
+    {
+        return Ok(());
     }
+    eval_slow(site)
+}
+
+/// Counts one evaluation of `site` against `sites`; returns the action
+/// when it fires.
+fn hit(sites: &mut HashMap<String, Site>, site: &str) -> Option<FailAction> {
+    let entry = sites.get_mut(site)?;
+    entry.hits += 1;
+    if entry.action == FailAction::Off || entry.hits <= entry.skip {
+        return None;
+    }
+    if entry.probability < 1.0 {
+        let draw = splitmix64(&mut entry.rng_state) as f64 / u64::MAX as f64;
+        if draw >= entry.probability {
+            return None;
+        }
+    }
+    Some(entry.action)
+}
+
+/// The calling thread's scoped override, if any.
+fn local_scope() -> Option<Scope> {
+    LOCAL.try_with(|local| local.borrow().clone()).ok().flatten()
 }
 
 #[cold]
 fn eval_slow(site: &str) -> Result<(), io::Error> {
-    if STATE.load(Ordering::Acquire) == STATE_UNINIT {
-        init_from_env();
-    }
-    let fired = {
-        let mut guard = unpoisoned(&SITES);
-        let Some(entry) = guard.as_mut().and_then(|m| m.get_mut(site)) else {
-            return Ok(());
-        };
-        entry.hits += 1;
-        if entry.action == FailAction::Off || entry.hits <= entry.skip {
-            return Ok(());
-        }
-        if entry.probability < 1.0 {
-            let draw = splitmix64(&mut entry.rng_state) as f64 / u64::MAX as f64;
-            if draw >= entry.probability {
-                return Ok(());
+    let fired = match local_scope() {
+        Some(scope) => hit(&mut unpoisoned(&scope), site),
+        None => {
+            if STATE.load(Ordering::Acquire) == STATE_UNINIT {
+                init_from_env();
             }
+            unpoisoned(&SITES).as_mut().and_then(|sites| hit(sites, site))
         }
-        entry.action
+    };
+    let Some(fired) = fired else {
+        return Ok(());
     };
     tevot_obs::metrics::RESIL_FAULTS_INJECTED.incr();
     match fired {
@@ -269,38 +310,65 @@ fn eval_slow(site: &str) -> Result<(), io::Error> {
     }
 }
 
-/// A scoped failpoint configuration for tests: takes the global
-/// exclusivity lock (serializing every test that injects faults),
-/// installs `spec`, and restores the previous configuration on drop.
-/// Each scope re-seeds per-site generators, so behavior inside a scope
-/// is deterministic regardless of what ran before.
+/// A thread-scoped failpoint configuration for tests: installs `spec`
+/// for the calling thread (and the threads it passes it to through
+/// [`inherit`]) in place of the process-wide configuration, and restores
+/// what the thread had before on drop. Other threads are unaffected, so
+/// tests injecting faults can run concurrently. Each scope starts fresh
+/// per-site generators and hit counts, so behavior inside a scope is
+/// deterministic regardless of what ran before.
 ///
 /// # Panics
 ///
 /// Panics on a malformed spec — a test bug, not a runtime condition.
 pub fn scoped(spec: &str) -> ScopedFail {
-    let guard = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
-    if STATE.load(Ordering::Acquire) == STATE_UNINIT {
-        init_from_env();
-    }
-    let saved = unpoisoned(&SITES).take();
-    let saved_state = STATE.load(Ordering::Acquire);
-    configure(spec).expect("valid scoped failpoint spec");
-    ScopedFail { _guard: guard, saved, saved_state }
+    let sites = parse_spec(spec).expect("valid scoped failpoint spec");
+    Inherited(Some(Arc::new(Mutex::new(sites)))).enter()
 }
 
-/// Guard returned by [`scoped`]; restores the previous configuration
-/// (and releases the exclusivity lock) when dropped.
+/// The calling thread's scoped configuration, captured so threads it
+/// spawns can evaluate sites against it with [`Inherited::enter`]. On a
+/// thread without one, entering is a no-op and the new thread follows
+/// the process-wide configuration.
+pub fn inherit() -> Inherited {
+    Inherited(local_scope())
+}
+
+/// A scoped configuration captured by [`inherit`]; cheap to clone and
+/// safe to send to another thread.
+#[derive(Debug, Clone)]
+pub struct Inherited(Option<Scope>);
+
+impl Inherited {
+    /// Installs the captured configuration on the current thread until
+    /// the returned guard drops. Hit counters are shared with every other
+    /// thread running under the same scope, so a `#skip` budget counts
+    /// evaluations across all of them.
+    pub fn enter(&self) -> ScopedFail {
+        let Some(scope) = &self.0 else {
+            return ScopedFail { saved: None, _thread_bound: PhantomData };
+        };
+        let previous = LOCAL.with(|local| local.replace(Some(Arc::clone(scope))));
+        SCOPED_THREADS.fetch_add(1, Ordering::Relaxed);
+        ScopedFail { saved: Some(previous), _thread_bound: PhantomData }
+    }
+}
+
+/// Guard returned by [`scoped`] and [`Inherited::enter`]; restores the
+/// thread's previous configuration when dropped. It cannot leave the
+/// thread it was created on.
 pub struct ScopedFail {
-    _guard: MutexGuard<'static, ()>,
-    saved: Option<HashMap<String, Site>>,
-    saved_state: u8,
+    /// `Some(previous)` when this guard installed a scope.
+    saved: Option<Option<Scope>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for ScopedFail {
     fn drop(&mut self) {
-        *unpoisoned(&SITES) = self.saved.take();
-        STATE.store(self.saved_state, Ordering::Release);
+        if let Some(previous) = self.saved.take() {
+            let _ = LOCAL.try_with(|local| local.replace(previous));
+            SCOPED_THREADS.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -375,6 +443,42 @@ mod tests {
         // Outside the scope the site is back to whatever the environment
         // says (no env in tests: disabled), and eval is safe to call.
         let _ = eval("t.outer");
+    }
+
+    #[test]
+    fn scoped_configuration_does_not_leak_to_other_threads() {
+        let _scope = scoped("t.leak=io");
+        assert!(eval("t.leak").is_err());
+        let elsewhere = std::thread::spawn(|| eval("t.leak").is_ok());
+        assert!(elsewhere.join().unwrap(), "another thread never sees it");
+    }
+
+    #[test]
+    fn inherited_scope_reaches_spawned_threads_and_shares_hit_counts() {
+        let _scope = scoped("t.inherit=io#1");
+        assert!(eval("t.inherit").is_ok(), "first evaluation is skipped");
+        let inherited = inherit();
+        let child = std::thread::spawn(move || {
+            let _entered = inherited.enter();
+            eval("t.inherit").is_err()
+        });
+        assert!(child.join().unwrap(), "the skip budget was spent on the parent thread");
+        // Entering the capture of a thread without a scope changes nothing.
+        let plain = std::thread::spawn(|| {
+            let _entered = inherit().enter();
+            eval("t.inherit").is_ok()
+        });
+        assert!(plain.join().unwrap());
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_one() {
+        let _outer = scoped("t.nest=io");
+        {
+            let _inner = scoped("t.nest=off");
+            assert!(eval("t.nest").is_ok());
+        }
+        assert!(eval("t.nest").is_err(), "the outer scope is back");
     }
 
     #[test]

@@ -15,9 +15,16 @@
 //! Every request is assigned a process-unique **request id** at entry:
 //! it is returned in an `X-Request-Id` header on every response,
 //! embedded as `request_id` in every error body (including shed 503s
-//! and deadline 504s), logged on the access line, and carried through
-//! the batcher onto the trace timeline — one key correlates a client
-//! complaint with logs, traces, and metrics.
+//! and deadline 504s), logged on the access line, and stamped on the
+//! request's trace event — one key correlates a client complaint with
+//! logs, traces, and metrics.
+//!
+//! Prediction runs inline on the connection thread that read the
+//! request: admission is one in-flight counter (503 + `Retry-After`
+//! past the bound), the deadline is one `Instant` compare (504 once it
+//! has passed), and the delays are an ordered map of
+//! `predict_delay_ps` over the transitions — the same call, in the same
+//! order, as offline `tevot predict`.
 //!
 //! Request and response bodies are JSON via `tevot_obs::json`. Its f64
 //! writer prints the shortest round-tripping decimal, so a delay served
@@ -32,7 +39,7 @@
 //! `Retry-After` directly.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -42,13 +49,12 @@ use tevot_netlist::fu::FunctionalUnit;
 use tevot_obs::json::{self, Json};
 use tevot_obs::metrics::{
     DFS_DECISIONS, SERVE_DFS_LATENCY_US, SERVE_HTTP_ERRORS, SERVE_PREDICT_LATENCY_US,
-    SERVE_REQUESTS, SERVE_TER_LATENCY_US,
+    SERVE_QUEUE_DEPTH, SERVE_REQUESTS, SERVE_SHED, SERVE_TER_LATENCY_US,
 };
 use tevot_obs::report::Snapshot;
-use tevot_resil::{CancelToken, ErrorKind, TevotError, Watchdog};
+use tevot_resil::{ErrorKind, TevotError};
 use tevot_timing::OperatingCondition;
 
-use crate::batch::{Batcher, Transition};
 use crate::http::{Request, Response};
 use crate::registry::{valid_name, ModelRegistry};
 use crate::watch::Watch;
@@ -56,9 +62,13 @@ use crate::watch::Watch;
 /// The model name used when a request does not specify one.
 pub const DEFAULT_MODEL: &str = "default";
 
-/// Upper bound on transitions evaluated per request (either endpoint) —
-/// admission control against a single request monopolizing the batcher.
+/// Upper bound on transitions evaluated per request (every endpoint) —
+/// admission control against a single request holding its connection
+/// thread, and a core, for longer than a few tens of milliseconds.
 pub const MAX_TRANSITIONS_PER_REQUEST: usize = 65_536;
+
+/// A `(current, previous)` operand pair — the unit of prediction work.
+pub type Transition = ((u32, u32), (u32, u32));
 
 /// The HTTP status for a classified [`TevotError`].
 ///
@@ -76,29 +86,56 @@ pub fn status_for(kind: ErrorKind) -> u16 {
     }
 }
 
-/// Shared per-server state: the model registry and the batching executor.
+/// Shared per-server state: the model registry and the admission
+/// counter.
 #[derive(Debug)]
 pub struct ServeState {
     /// The hot-swappable model registry.
     pub registry: ModelRegistry,
-    batcher: Batcher,
+    max_queue: usize,
+    in_flight: AtomicUsize,
     watch: OnceLock<Arc<Watch>>,
 }
 
+/// One admitted request's slot in [`ServeState`]'s in-flight count;
+/// dropping it gives the slot back on every exit path.
+struct Admission<'a>(&'a AtomicUsize);
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 impl ServeState {
-    /// State with an empty registry and a batcher of the given shape
-    /// (see [`Batcher::start`]).
-    pub fn new(jobs: usize, max_queue: usize, batch: usize, batch_wait: Duration) -> ServeState {
+    /// State with an empty registry that admits at most `max_queue`
+    /// prediction requests at once; the rest are shed with 503.
+    pub fn new(max_queue: usize) -> ServeState {
         ServeState {
             registry: ModelRegistry::new(),
-            batcher: Batcher::start(jobs, max_queue, batch, batch_wait),
+            max_queue,
+            in_flight: AtomicUsize::new(0),
             watch: OnceLock::new(),
         }
     }
 
-    /// Jobs currently queued for batching.
+    /// Prediction requests currently admitted and executing.
     pub fn queue_depth(&self) -> usize {
-        self.batcher.depth()
+        self.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Claims an in-flight slot, or counts a shed and returns `None`
+    /// when `max_queue` requests already hold one.
+    fn admit(&self) -> Option<Admission<'_>> {
+        let depth = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        // Guard first: a shed request releases its increment on return.
+        let admission = Admission(&self.in_flight);
+        if depth > self.max_queue {
+            SERVE_SHED.incr();
+            return None;
+        }
+        SERVE_QUEUE_DEPTH.record(depth as u64);
+        Some(admission)
     }
 
     /// Installs the watch (once; later calls are ignored). Done by
@@ -324,38 +361,34 @@ fn transitions_of(doc: &Json) -> Result<Vec<Transition>, TevotError> {
     Ok(transitions)
 }
 
-/// Submits work to the batcher and waits for its reply, translating
-/// shedding into 503 + `Retry-After`. The optional deadline arms a
-/// [`Watchdog`] on the request's own [`CancelToken`].
-fn run_batched(
+/// Prices `transitions` on the calling thread, in order. Past the
+/// admission bound the request is shed with 503 + `Retry-After`; once
+/// `deadline_ms` after `started` has passed it is answered 504 without
+/// being executed.
+fn execute(
     state: &ServeState,
-    model: Arc<TevotModel>,
+    model: &TevotModel,
     cond: OperatingCondition,
-    transitions: Vec<Transition>,
+    transitions: &[Transition],
+    started: Instant,
     deadline_ms: Option<u64>,
 ) -> Result<Vec<f64>, Response> {
-    let token = CancelToken::new();
-    let deadline = deadline_ms.map(Duration::from_millis);
-    let _watchdog = deadline.map(|d| Watchdog::deadline(&token, d));
-    let rx = state
-        .batcher
-        .submit(
-            model,
-            cond,
-            transitions,
-            token,
-            deadline.map(|d| Instant::now() + d),
-            current_request_id(),
+    let Some(_admission) = state.admit() else {
+        return Err(error_response(
+            503,
+            "shed",
+            "server is at its in-flight limit, try again shortly",
         )
-        .map_err(|_| {
-            error_response(503, "shed", "prediction queue is full, try again shortly")
-                .with_header("Retry-After", "1")
-        })?;
-    match rx.recv() {
-        Ok(Ok(delays)) => Ok(delays),
-        Ok(Err(e)) => Err(error_from(&e)),
-        Err(_) => Err(error_response(500, "internal", "batch executor dropped the request")),
+        .with_header("Retry-After", "1"));
+    };
+    if deadline_ms.is_some_and(|ms| started.elapsed() >= Duration::from_millis(ms)) {
+        return Err(error_from(&TevotError::cancelled("deadline exceeded before execution")));
     }
+    let _span = tevot_obs::span!("serve.execute", "{} transitions", transitions.len());
+    Ok(transitions
+        .iter()
+        .map(|&(current, previous)| model.predict_delay_ps(cond, current, previous))
+        .collect())
 }
 
 /// Records one request's stage breakdown into the watch's slow-request
@@ -397,24 +430,16 @@ fn predict(state: &ServeState, req: &Request) -> Response {
         Ok(parts) => parts,
         Err(e) => return error_from(&e),
     };
-    // Pick shadow-replay candidates before the batcher consumes the
-    // transitions; usually empty, at most a handful of copies.
-    let sampled = state.watch().map(|w| w.sample_for_shadow(&transitions)).unwrap_or_default();
-    let batch_started = Instant::now();
-    let delays = match run_batched(state, model, cond, transitions, deadline_ms) {
+    let execute_started = Instant::now();
+    let delays = match execute(state, &model, cond, &transitions, started, deadline_ms) {
         Ok(delays) => delays,
         Err(response) => return response,
     };
-    let batch_ns = stage_ns(batch_started);
+    let execute_ns = stage_ns(execute_started);
     if let Some(watch) = state.watch() {
         watch.observe_predict(cond, &delays);
-        for (i, transition) in sampled {
-            // `get` rather than indexing: a model erroring mid-batch
-            // could in principle answer short, and a sampling slip must
-            // not panic the connection thread.
-            if let Some(&delay) = delays.get(i) {
-                watch.shadow_submit(cond, transition, delay);
-            }
+        for (i, transition) in watch.sample_for_shadow(&transitions) {
+            watch.shadow_submit(cond, transition, delays[i]);
         }
     }
     let serialize_started = Instant::now();
@@ -433,7 +458,11 @@ fn predict(state: &ServeState, req: &Request) -> Response {
         state,
         "/predict",
         started,
-        vec![("parse", parse_ns), ("batch", batch_ns), ("serialize", stage_ns(serialize_started))],
+        vec![
+            ("parse", parse_ns),
+            ("execute", execute_ns),
+            ("serialize", stage_ns(serialize_started)),
+        ],
     );
     response
 }
@@ -478,12 +507,12 @@ fn ter(state: &ServeState, req: &Request) -> Response {
     let transitions: Vec<_> = (1..ops.len()).map(|t| (ops[t], ops[t - 1])).collect();
     let total = transitions.len();
     let workload_ns = stage_ns(started).saturating_sub(parse_ns);
-    let batch_started = Instant::now();
-    let delays = match run_batched(state, model, cond, transitions, deadline_ms) {
+    let execute_started = Instant::now();
+    let delays = match execute(state, &model, cond, &transitions, started, deadline_ms) {
         Ok(delays) => delays,
         Err(response) => return response,
     };
-    let batch_ns = stage_ns(batch_started);
+    let execute_ns = stage_ns(execute_started);
     let errors = delays.iter().filter(|&&d| d > clock as f64).count();
     let response = ok(vec![
         ("model", Json::from(name.as_str())),
@@ -497,7 +526,7 @@ fn ter(state: &ServeState, req: &Request) -> Response {
         state,
         "/ter",
         started,
-        vec![("parse", parse_ns), ("workload", workload_ns), ("batch", batch_ns)],
+        vec![("parse", parse_ns), ("workload", workload_ns), ("execute", execute_ns)],
     );
     response
 }
@@ -548,12 +577,12 @@ fn dfs(state: &ServeState, req: &Request) -> Response {
         Ok(parts) => parts,
         Err(e) => return error_from(&e),
     };
-    let batch_started = Instant::now();
-    let delays = match run_batched(state, model, cond, transitions, deadline_ms) {
+    let execute_started = Instant::now();
+    let delays = match execute(state, &model, cond, &transitions, started, deadline_ms) {
         Ok(delays) => delays,
         Err(response) => return response,
     };
-    let batch_ns = stage_ns(batch_started);
+    let execute_ns = stage_ns(execute_started);
     DFS_DECISIONS.add(delays.len() as u64);
     if let Some(watch) = state.watch() {
         watch.observe_predict(cond, &delays);
@@ -574,7 +603,11 @@ fn dfs(state: &ServeState, req: &Request) -> Response {
         state,
         "/dfs",
         started,
-        vec![("parse", parse_ns), ("batch", batch_ns), ("serialize", stage_ns(serialize_started))],
+        vec![
+            ("parse", parse_ns),
+            ("execute", execute_ns),
+            ("serialize", stage_ns(serialize_started)),
+        ],
     );
     response
 }
@@ -705,7 +738,11 @@ mod tests {
     }
 
     fn state_with_model() -> ServeState {
-        let state = ServeState::new(1, 64, 8, Duration::from_millis(1));
+        state_admitting(64)
+    }
+
+    fn state_admitting(max_queue: usize) -> ServeState {
+        let state = ServeState::new(max_queue);
         state.registry.insert(DEFAULT_MODEL, tiny_model());
         state
     }
@@ -890,7 +927,7 @@ mod tests {
 
     #[test]
     fn dfs_refuses_conditions_outside_the_model_envelope_with_422() {
-        let state = ServeState::new(1, 64, 8, Duration::from_millis(1));
+        let state = ServeState::new(64);
         let mut model = tiny_model();
         let grid = [
             OperatingCondition::new(0.81, 0.0),
@@ -989,7 +1026,7 @@ mod tests {
         let state = state_with_model();
         let req =
             post("/predict", r#"{"voltage":0.9,"temperature":25,"a":1,"b":2,"deadline_ms":0}"#);
-        // deadline_ms 0 expires before the batcher can claim the job.
+        // deadline_ms 0 has passed by the time execution starts.
         let response = handle(&state, &req);
         assert_eq!(response.status, 504, "{:?}", String::from_utf8_lossy(&response.body));
         let doc = body_json(&response);
@@ -1136,6 +1173,49 @@ mod tests {
         let stages = first.get("stages").and_then(Json::as_arr).unwrap();
         let names: Vec<_> =
             stages.iter().map(|s| s.get("name").and_then(Json::as_str).unwrap()).collect();
-        assert_eq!(names, ["parse", "batch", "serialize"]);
+        assert_eq!(names, ["parse", "execute", "serialize"]);
+    }
+
+    const PREDICT: &str = r#"{"voltage":0.9,"temperature":25,"a":1,"b":2}"#;
+
+    #[test]
+    fn in_flight_count_returns_to_zero_after_ok_shed_and_deadline() {
+        let state = state_admitting(1);
+        assert_eq!(handle(&state, &post("/predict", PREDICT)).status, 200);
+        assert_eq!(state.queue_depth(), 0, "after a 200");
+
+        let held = state.admit().expect("an idle server admits");
+        assert_eq!(state.queue_depth(), 1);
+        assert_eq!(handle(&state, &post("/predict", PREDICT)).status, 503);
+        assert_eq!(state.queue_depth(), 1, "a shed request gives its increment back");
+        drop(held);
+        assert_eq!(state.queue_depth(), 0, "after a 503");
+
+        let late = r#"{"voltage":0.9,"temperature":25,"a":1,"b":2,"deadline_ms":0}"#;
+        assert_eq!(handle(&state, &post("/predict", late)).status, 504);
+        assert_eq!(state.queue_depth(), 0, "after a 504");
+    }
+
+    #[test]
+    fn second_concurrent_request_past_the_bound_is_shed_with_retry_after() {
+        let state = state_admitting(1);
+        let shed_before = tevot_obs::metrics::SERVE_SHED.get();
+        // Stand-in for a first request still executing on another
+        // connection thread.
+        let _first = state.admit().expect("an idle server admits");
+        for path in ["/predict", "/dfs"] {
+            let response = handle(&state, &post(path, PREDICT));
+            assert_eq!(response.status, 503, "{path}");
+            let retry = response.headers.iter().find(|(n, _)| n == "Retry-After");
+            assert_eq!(retry.map(|(_, v)| v.as_str()), Some("1"), "{path}");
+            let doc = body_json(&response);
+            assert_eq!(doc.get("kind").and_then(Json::as_str), Some("shed"));
+            assert!(doc.get("request_id").and_then(Json::as_u64).unwrap() > 0);
+        }
+        let ter = r#"{"voltage":0.9,"temperature":25,"clock_ps":1000,"vectors":10}"#;
+        assert_eq!(handle(&state, &post("/ter", ter)).status, 503);
+        // >= rather than ==: the counter is global and other tests may
+        // shed concurrently.
+        assert!(tevot_obs::metrics::SERVE_SHED.get() >= shed_before + 3);
     }
 }

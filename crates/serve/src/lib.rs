@@ -12,16 +12,14 @@
 //! * [`registry`] — a hot-swappable model registry: `POST
 //!   /models/<name>` reloads from disk behind an `Arc` swap; in-flight
 //!   requests finish on the model they started with.
-//! * [`batch`] — cross-connection microbatching: every request funnels
-//!   into one bounded queue that drains onto a `tevot-par` worker pool.
-//!   Predictions are pure, and the pool's reduction is ordered, so the
-//!   served numbers are **bit-identical** to offline `tevot predict` at
-//!   any batch size and worker count.
-//! * [`api`] — endpoints (`/predict`, `/ter`, `/models`, `/healthz`,
-//!   `/metrics`) and the [`ErrorKind`](tevot_resil::ErrorKind) →
-//!   HTTP-status mapping; admission control answers 503 +
-//!   `Retry-After` when the queue is full, per-request deadlines answer
-//!   504 through `tevot-resil`'s `CancelToken`/`Watchdog`.
+//! * [`api`] — endpoints (`/predict`, `/ter`, `/dfs`, `/models`,
+//!   `/healthz`, `/metrics`) and the
+//!   [`ErrorKind`](tevot_resil::ErrorKind) → HTTP-status mapping.
+//!   Prediction runs inline on the connection thread as an ordered map
+//!   of `predict_delay_ps`, so the served numbers are **bit-identical**
+//!   to offline `tevot predict`. Admission control is an in-flight
+//!   counter (503 + `Retry-After` past `max_queue`); a per-request
+//!   deadline that has passed when execution starts answers 504.
 //! * [`server`] — the accept loop and per-connection threads.
 //! * [`watch`] — production telemetry: a fixed-memory time-series store
 //!   fed by a sampler thread, SLO burn-rate monitors, PSI model-drift
@@ -35,7 +33,6 @@
 //! The CLI front-end is `tevot serve --model <path> --addr <host:port>`.
 
 pub mod api;
-pub mod batch;
 pub mod http;
 pub mod loadgen;
 pub mod registry;
@@ -43,7 +40,6 @@ pub mod server;
 pub mod watch;
 
 pub use api::{status_for, ServeState, DEFAULT_MODEL};
-pub use batch::{Batcher, Shed};
 pub use registry::ModelRegistry;
 pub use server::{ServeConfig, Server};
 pub use watch::{Watch, WatchConfig};

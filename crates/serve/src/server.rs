@@ -1,12 +1,13 @@
 //! The TCP server: accept loop, per-connection threads, shutdown.
 //!
-//! Deliberately boring concurrency: one OS thread per connection (the
-//! batcher provides the scalability — prediction work from every
-//! connection funnels into one queue, so connection threads spend their
-//! lives blocked on I/O, not computing). The accept loop and the
-//! connection loops poll a shared [`CancelToken`] on short socket
-//! timeouts, so [`Server::shutdown`] converges without killing anything
-//! mid-response.
+//! Deliberately boring concurrency: one OS thread per connection, and
+//! that thread does all of a request's work — read, parse, predict,
+//! serialize, write. A prediction costs about a microsecond per
+//! transition, so a hand-off to another thread would cost more than the
+//! work it moves; connections scale across cores because each has its
+//! own thread. The accept loop and the connection loops poll a shared
+//! [`CancelToken`] on short socket timeouts, so [`Server::shutdown`]
+//! converges without killing anything mid-response.
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -25,14 +26,13 @@ use crate::watch::{Watch, WatchConfig};
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7450` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads for batch execution (`0`: the global `--jobs` /
-    /// `TEVOT_JOBS` setting).
-    pub jobs: usize,
-    /// Admission bound: queued jobs beyond this are shed with 503.
+    /// Admission bound: prediction requests in flight beyond this are
+    /// shed with 503.
     pub max_queue: usize,
-    /// Maximum jobs merged into one microbatch.
-    pub batch: usize,
-    /// How long a microbatch waits for company after its first job.
+    /// Always zero: requests are never held back to wait for company.
+    /// Kept only because the repository benchmark (`perfbench`) still
+    /// reads it for its configuration line; [`Server::start`] rejects
+    /// any other value. Removed together with that reader.
     pub batch_wait: Duration,
     /// Maximum accepted request-body size, in bytes.
     pub max_body: usize,
@@ -45,10 +45,8 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            jobs: 0,
             max_queue: 256,
-            batch: 32,
-            batch_wait: Duration::from_millis(1),
+            batch_wait: Duration::ZERO,
             max_body: 1 << 20,
             watch: None,
         }
@@ -77,17 +75,23 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure (address in use, permission...).
+    /// [`std::io::ErrorKind::InvalidInput`] for a non-zero
+    /// `batch_wait`; otherwise propagates the bind failure (address in
+    /// use, permission...).
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
+        if !config.batch_wait.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "batch_wait must be zero (got {:?}): requests are never held",
+                    config.batch_wait
+                ),
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let state = Arc::new(ServeState::new(
-            config.jobs,
-            config.max_queue,
-            config.batch,
-            config.batch_wait,
-        ));
+        let state = Arc::new(ServeState::new(config.max_queue));
         let stop = CancelToken::new();
         let accept_state = Arc::clone(&state);
         let accept_stop = stop.clone();
@@ -118,7 +122,8 @@ impl Server {
         self.addr
     }
 
-    /// The shared state (registry + batcher), for pre-loading models.
+    /// The shared state (registry + admission counter), for pre-loading
+    /// models.
     pub fn state(&self) -> &Arc<ServeState> {
         &self.state
     }

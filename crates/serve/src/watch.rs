@@ -43,7 +43,7 @@ use tevot_obs::slo::{Alert, BurnRateConfig, Slo, SloMonitor};
 use tevot_obs::watch::TimeSeriesStore;
 use tevot_timing::{DelayModel, OperatingCondition};
 
-use crate::batch::Transition;
+use crate::api::Transition;
 
 /// Alerts retained for `GET /watch` (older ones age out; the
 /// `watch.alerts` counter keeps the lifetime total).
@@ -586,7 +586,7 @@ mod tests {
                 request_id: i + 1,
                 endpoint: "/predict",
                 total_us: 100 + i * 10,
-                stages: vec![("parse", 1_000), ("batch", (100 + i * 10) * 1_000)],
+                stages: vec![("parse", 1_000), ("execute", (100 + i * 10) * 1_000)],
                 at_ms: 5_000 + i,
             });
         }
@@ -623,7 +623,7 @@ mod tests {
         assert_eq!(fired[0].series, "serve.queue_depth");
         // >= rather than ==: the counter is global and other tests may
         // alert concurrently.
-        assert!(WATCH_ALERTS.get() >= before + 1);
+        assert!(WATCH_ALERTS.get() > before);
         // Latched: a second hot tick does not re-alert.
         assert!(watch.tick(10_100, 5, None).is_empty());
         assert_eq!(watch.alerts().len(), 1);
@@ -700,9 +700,9 @@ mod tests {
             shadow_every: 3,
             ..Default::default()
         });
-        let batch: Vec<Transition> = (0..4u32).map(|i| ((i, i), (0, 0))).collect();
-        let first = watch.sample_for_shadow(&batch);
-        let second = watch.sample_for_shadow(&batch);
+        let request: Vec<Transition> = (0..4u32).map(|i| ((i, i), (0, 0))).collect();
+        let first = watch.sample_for_shadow(&request);
+        let second = watch.sample_for_shadow(&request);
         // Transitions 0..8 with every=3 → global indices 0, 3, 6.
         assert_eq!(first.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![0, 3]);
         assert_eq!(second.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![2]);

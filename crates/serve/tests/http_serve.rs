@@ -236,24 +236,18 @@ fn oversized_body_gets_413() {
     server.shutdown();
 }
 
-/// Admission control over TCP: with a single worker, a one-slot queue
-/// and one-job batches, a long-running request occupies the executor
-/// while later arrivals first fill the queue slot and then shed with
-/// 503 + `Retry-After`. Every request is *answered* — shedding is a
-/// response, not a dropped connection.
+/// Admission control over TCP: with room for one request in flight, a
+/// long-running request holds the only slot while concurrent arrivals
+/// shed with 503 + `Retry-After`. Every request is *answered* —
+/// shedding is a response, not a dropped connection.
 #[test]
 fn overload_sheds_with_retry_after_and_answers_every_request() {
-    let config = ServeConfig {
-        jobs: 1,
-        max_queue: 1,
-        batch: 1,
-        batch_wait: Duration::from_millis(0),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { max_queue: 1, ..ServeConfig::default() };
     let server = start_with_model(config, 7);
     let addr = server.local_addr();
 
-    // A big request to occupy the single worker...
+    // A big request (just under the 1 MiB body limit) to hold the only
+    // slot...
     let mut big = String::from(r#"{"voltage":0.9,"temperature":25,"transitions":["#);
     for i in 0..40_000u32 {
         if i > 0 {
@@ -265,16 +259,19 @@ fn overload_sheds_with_retry_after_and_answers_every_request() {
 
     let mut heavy = Client::connect(addr);
     send(&mut heavy.writer, "POST", "/predict", &big).unwrap();
-    // ...give the batcher time to claim it and start executing...
-    std::thread::sleep(Duration::from_millis(60));
+    // ...wait until it is admitted and executing...
+    let admitted_by = std::time::Instant::now() + Duration::from_secs(30);
+    while server.state().queue_depth() == 0 {
+        assert!(std::time::Instant::now() < admitted_by, "heavy request never admitted");
+        std::thread::sleep(Duration::from_micros(200));
+    }
 
-    // ...then pile on more heavy requests than queue + executor can hold.
+    // ...then pile on more requests than one slot can hold. They are
+    // tiny, so they reach admission while the heavy one still runs.
+    let small = r#"{"voltage":0.9,"temperature":25,"a":1,"b":2}"#;
     let replies: Vec<Reply> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let big = &big;
-                scope.spawn(move || Client::connect(addr).request("POST", "/predict", big))
-            })
+            .map(|_| scope.spawn(move || Client::connect(addr).request("POST", "/predict", small)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
@@ -284,12 +281,38 @@ fn overload_sheds_with_retry_after_and_answers_every_request() {
     let shed = replies.iter().filter(|r| r.status == 503).count();
     let ok = replies.iter().filter(|r| r.status == 200).count();
     assert_eq!(ok + shed, replies.len(), "only 200 or 503 under pure overload");
-    assert!(shed >= 1, "queue of 1 cannot absorb 4 concurrent heavy requests");
+    assert!(shed >= 1, "one in-flight slot cannot absorb 4 concurrent requests");
     for reply in replies.iter().filter(|r| r.status == 503) {
         assert_eq!(reply.header("retry-after"), Some("1"));
         assert_eq!(reply.json().get("kind").and_then(Json::as_str), Some("shed"));
     }
     server.shutdown();
+}
+
+/// A deadline that has passed by the time execution starts is answered
+/// 504 over the wire, and the connection stays usable.
+#[test]
+fn expired_deadline_is_504_and_keeps_the_connection() {
+    let server = start_with_model(ServeConfig::default(), 7);
+    let mut client = Client::connect(server.local_addr());
+    let late = r#"{"voltage":0.9,"temperature":25,"a":1,"b":2,"deadline_ms":0}"#;
+    let reply = client.request("POST", "/predict", late);
+    assert_eq!(reply.status, 504, "{}", reply.body);
+    assert_eq!(reply.json().get("kind").and_then(Json::as_str), Some("cancelled"));
+    let reply =
+        client.request("POST", "/predict", r#"{"voltage":0.9,"temperature":25,"a":1,"b":2}"#);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(server.state().queue_depth(), 0);
+    server.shutdown();
+}
+
+/// Requests are never held back for company, so the one legal hold is
+/// zero and anything else is refused before binding.
+#[test]
+fn start_rejects_a_nonzero_batch_wait() {
+    let config = ServeConfig { batch_wait: Duration::from_millis(1), ..ServeConfig::default() };
+    let err = Server::start(config).expect_err("a non-zero hold must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
 /// End-to-end drift detection: a server watching a model whose file
@@ -407,7 +430,7 @@ fn hot_swap_under_concurrent_traffic_is_never_torn_and_never_drops() {
             let mut client = Client::connect(addr);
             let mut swaps = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let path = if swaps % 2 == 0 { &path_b } else { &path_a };
+                let path = if swaps.is_multiple_of(2) { &path_b } else { &path_a };
                 let body = format!(r#"{{"path":{}}}"#, Json::from(path.to_str().unwrap()));
                 let reply = client.request("POST", "/models/default", &body);
                 assert_eq!(reply.status, 200, "swap failed: {}", reply.body);

@@ -2,7 +2,7 @@
 //! recommendations served over HTTP are **bit-identical** to the offline
 //! `tevot dfs` arithmetic — `tevot_dfs::recommended_t_clk_ps` applied to
 //! `TevotModel::predict_delay_ps` — for the same model, condition,
-//! guardband and inputs at batch sizes {1, 8} and worker counts {1, 4}.
+//! guardband and inputs, from four concurrent keep-alive connections.
 //!
 //! `t_clk_ps` is an integer on the wire, so JSON cannot perturb it; the
 //! predicted delays underneath are pinned bit-exactly too, exactly as in
@@ -10,7 +10,6 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -126,45 +125,31 @@ fn served_dfs_recommendations_are_bit_identical_to_offline() {
         })
         .collect();
 
-    for batch in [1usize, 8] {
-        for jobs in [1usize, 4] {
-            let config = ServeConfig {
-                jobs,
-                batch,
-                batch_wait: Duration::from_millis(if batch > 1 { 3 } else { 0 }),
-                max_queue: 512,
-                ..ServeConfig::default()
-            };
-            let server = Server::start(config).expect("bind loopback");
-            server.state().registry.insert(DEFAULT_MODEL, model.clone());
-            let addr = server.local_addr();
+    let server = Server::start(ServeConfig::default()).expect("bind loopback");
+    server.state().registry.insert(DEFAULT_MODEL, model);
+    let addr = server.local_addr();
 
-            std::thread::scope(|scope| {
-                let expected = &expected;
-                let handles: Vec<_> = (0..CONNECTIONS)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            let stream = TcpStream::connect(addr).expect("connect");
-                            stream.set_nodelay(true).ok();
-                            let mut writer = stream.try_clone().expect("clone");
-                            let mut reader = BufReader::new(stream);
-                            for r in 0..REQUESTS_PER_CONNECTION {
-                                let index = c * REQUESTS_PER_CONNECTION + r;
-                                let served = round_trip(&mut writer, &mut reader, index);
-                                assert_eq!(
-                                    served, expected[index],
-                                    "request {index} diverged at batch {batch}, jobs {jobs}"
-                                );
-                            }
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("client thread");
-                }
-            });
-
-            server.shutdown();
+    std::thread::scope(|scope| {
+        let expected = &expected;
+        let handles: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).expect("connect");
+                    stream.set_nodelay(true).ok();
+                    let mut writer = stream.try_clone().expect("clone");
+                    let mut reader = BufReader::new(stream);
+                    for r in 0..REQUESTS_PER_CONNECTION {
+                        let index = c * REQUESTS_PER_CONNECTION + r;
+                        let served = round_trip(&mut writer, &mut reader, index);
+                        assert_eq!(served, expected[index], "request {index} diverged");
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().expect("client thread");
         }
-    }
+    });
+
+    server.shutdown();
 }

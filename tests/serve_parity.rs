@@ -1,17 +1,15 @@
-//! Acceptance test for the serving tentpole: predictions served over
-//! HTTP are **bit-identical** to offline `TevotModel::predict_delay_ps`
-//! for the same model and inputs at batch sizes {1, 8, 64} and worker
-//! counts {1, 4}.
+//! Acceptance test for serving: predictions served over HTTP from four
+//! concurrent keep-alive connections are **bit-identical** to offline
+//! `TevotModel::predict_delay_ps` for the same model and inputs.
 //!
 //! Two independent mechanisms make this hold, and this test pins both:
-//! prediction is pure and `tevot-par`'s reduction is ordered (so the
-//! microbatch shape cannot change the numbers), and `tevot-obs`'s JSON
-//! writer prints shortest round-tripping f64s (so the wire format cannot
-//! either).
+//! each connection thread computes its delays as the same ordered map
+//! of `predict_delay_ps` that offline prediction runs (so concurrency
+//! cannot change the numbers), and `tevot-obs`'s JSON writer prints
+//! shortest round-tripping f64s (so the wire format cannot either).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -101,7 +99,7 @@ fn round_trip(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, index: 
 }
 
 #[test]
-fn served_predictions_are_bit_identical_at_every_batch_and_worker_shape() {
+fn served_predictions_are_bit_identical_to_offline() {
     let model = train_model();
     let cond = OperatingCondition::new(0.9, 25.0);
 
@@ -116,47 +114,31 @@ fn served_predictions_are_bit_identical_at_every_batch_and_worker_shape() {
         })
         .collect();
 
-    for batch in [1usize, 8, 64] {
-        for jobs in [1usize, 4] {
-            let config = ServeConfig {
-                jobs,
-                batch,
-                // A small wait so concurrent requests genuinely merge
-                // into shared microbatches at batch > 1.
-                batch_wait: Duration::from_millis(if batch > 1 { 3 } else { 0 }),
-                max_queue: 512,
-                ..ServeConfig::default()
-            };
-            let server = Server::start(config).expect("bind loopback");
-            server.state().registry.insert(DEFAULT_MODEL, model.clone());
-            let addr = server.local_addr();
+    let server = Server::start(ServeConfig::default()).expect("bind loopback");
+    server.state().registry.insert(DEFAULT_MODEL, model);
+    let addr = server.local_addr();
 
-            std::thread::scope(|scope| {
-                let expected = &expected;
-                let handles: Vec<_> = (0..CONNECTIONS)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            let stream = TcpStream::connect(addr).expect("connect");
-                            stream.set_nodelay(true).ok();
-                            let mut writer = stream.try_clone().expect("clone");
-                            let mut reader = BufReader::new(stream);
-                            for r in 0..REQUESTS_PER_CONNECTION {
-                                let index = c * REQUESTS_PER_CONNECTION + r;
-                                let served = round_trip(&mut writer, &mut reader, index);
-                                assert_eq!(
-                                    served, expected[index],
-                                    "request {index} diverged at batch {batch}, jobs {jobs}"
-                                );
-                            }
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("client thread");
-                }
-            });
-
-            server.shutdown();
+    std::thread::scope(|scope| {
+        let expected = &expected;
+        let handles: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let stream = TcpStream::connect(addr).expect("connect");
+                    stream.set_nodelay(true).ok();
+                    let mut writer = stream.try_clone().expect("clone");
+                    let mut reader = BufReader::new(stream);
+                    for r in 0..REQUESTS_PER_CONNECTION {
+                        let index = c * REQUESTS_PER_CONNECTION + r;
+                        let served = round_trip(&mut writer, &mut reader, index);
+                        assert_eq!(served, expected[index], "request {index} diverged");
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().expect("client thread");
         }
-    }
+    });
+
+    server.shutdown();
 }
