@@ -6,6 +6,12 @@
 //! input sets the state and current input toggles the circuit nodes based
 //! on current state". For a two-operand 32-bit FU that is 64 + 64 + 2 = 130
 //! features (Eq. 3). The TEVoT-NH ablation drops the history half.
+//!
+//! Two forms carry the same values. [`FeatureEncoding::encode_into`]
+//! writes an `f64` row, the form datasets are built from.
+//! [`FeatureEncoding::pack`] keeps the operand bits in one `u128` and
+//! reads any feature on demand, the form inference walks the forest with:
+//! no allocation and no per-bit writes.
 
 use tevot_timing::OperatingCondition;
 
@@ -33,10 +39,16 @@ impl FeatureEncoding {
 
     /// Total feature dimension (130 with history, 66 without).
     pub fn num_features(self) -> usize {
+        self.num_bit_features() as usize + 2
+    }
+
+    /// Number of operand-bit features (128 with history, 64 without);
+    /// `V` and `T` follow them.
+    fn num_bit_features(self) -> u32 {
         if self.history {
-            130
+            128
         } else {
-            66
+            64
         }
     }
 
@@ -75,6 +87,55 @@ impl FeatureEncoding {
         let mut out = Vec::new();
         self.encode_into(cond, current, previous, &mut out);
         out
+    }
+
+    /// Packs one cycle's features without materializing the row:
+    /// `a | b << 32 | a' << 64 | b' << 96` for `x[t] = (a, b)` and
+    /// `x[t-1] = (a', b')`, plus the condition. [`PackedRow::feature`]
+    /// then reads the value [`Self::encode_into`] would write at any
+    /// index.
+    #[inline]
+    pub(crate) fn pack(
+        self,
+        cond: OperatingCondition,
+        current: (u32, u32),
+        previous: (u32, u32),
+    ) -> PackedRow {
+        let bits = u128::from(current.0)
+            | u128::from(current.1) << 32
+            | u128::from(previous.0) << 64
+            | u128::from(previous.1) << 96;
+        PackedRow {
+            bits,
+            num_bits: self.num_bit_features(),
+            voltage: cond.voltage(),
+            temperature: cond.temperature(),
+        }
+    }
+}
+
+/// One cycle's features in packed form; see [`FeatureEncoding::pack`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PackedRow {
+    bits: u128,
+    num_bits: u32,
+    voltage: f64,
+    temperature: f64,
+}
+
+impl PackedRow {
+    /// Feature `f` of the Eq. 3 row: an operand bit as `0.0`/`1.0` below
+    /// the bit count, then `V`, then `T` (any larger index also reads
+    /// `T`; a model's width is checked against its encoding on load).
+    #[inline]
+    pub(crate) fn feature(&self, f: u32) -> f64 {
+        if f < self.num_bits {
+            (self.bits >> f & 1) as f64
+        } else if f == self.num_bits {
+            self.voltage
+        } else {
+            self.temperature
+        }
     }
 }
 
@@ -120,6 +181,19 @@ mod tests {
         let b = FeatureEncoding::without_history().encode(cond, (7, 8), (999, 999));
         assert_eq!(a, b, "history must not influence the NH encoding");
         assert_eq!(a.len(), 66);
+    }
+
+    #[test]
+    fn packed_row_reads_every_encoded_feature() {
+        let cond = OperatingCondition::new(0.87, 33.5);
+        let (cur, prev) = ((0xdead_beef, 0x0123_4567), (0x8000_0001, u32::MAX));
+        for enc in [FeatureEncoding::with_history(), FeatureEncoding::without_history()] {
+            let row = enc.encode(cond, cur, prev);
+            let packed = enc.pack(cond, cur, prev);
+            for (f, &x) in row.iter().enumerate() {
+                assert_eq!(packed.feature(f as u32).to_bits(), x.to_bits(), "feature {f}");
+            }
+        }
     }
 
     #[test]

@@ -57,6 +57,11 @@ pub fn build_delay_dataset(
     data
 }
 
+/// Offset of the forest's feature-count field (after its magic, version
+/// and task tag), counted like every forest load error from the start of
+/// the forest block, which follows the 3-byte model header.
+const FOREST_WIDTH_OFFSET: u64 = 8 + 4 + 4;
+
 /// TEVoT hyper-parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TevotParams {
@@ -156,15 +161,21 @@ impl TevotModel {
 
     /// Predicts the dynamic delay (ps) of the transition
     /// `previous -> current` at `cond`.
+    ///
+    /// Allocation-free: the forest reads each feature it tests straight
+    /// from the operand bits packed into one `u128` instead of an encoded
+    /// `f64` row. Those reads return the values
+    /// [`FeatureEncoding::encode`] would write, so the result is
+    /// bit-identical to `forest().predict(&encoding().encode(..))`.
     pub fn predict_delay_ps(
         &self,
         cond: OperatingCondition,
         current: (u32, u32),
         previous: (u32, u32),
     ) -> f64 {
-        let row = self.encoding.encode(cond, current, previous);
         tevot_obs::metrics::CORE_PREDICTIONS.incr();
-        self.forest.predict(&row)
+        let row = self.encoding.pack(cond, current, previous);
+        self.forest.predict_by(|f| row.feature(f))
     }
 
     /// Classifies the cycle: timing-erroneous iff the predicted delay
@@ -223,6 +234,16 @@ impl TevotModel {
             FeatureEncoding::without_history()
         };
         let forest = persist::load_regressor(&mut reader)?;
+        let width = forest.trees()[0].num_features();
+        if width != encoding.num_features() {
+            return Err(LoadModelError::format(
+                FOREST_WIDTH_OFFSET,
+                format!(
+                    "forest is {width} features wide but the header's encoding has {}",
+                    encoding.num_features()
+                ),
+            ));
+        }
         // Pre-reference files (tags 0/1) end at the forest and load with
         // reference = None; bit 1 promises a trailing TVRS block.
         let reference =
@@ -366,6 +387,37 @@ mod tests {
         let mut future = plain;
         future[2] = 4;
         assert!(TevotModel::load(future.as_slice()).is_err());
+    }
+
+    #[test]
+    fn forest_width_must_match_the_header_encoding() {
+        let (w, c) = tiny_setup();
+        for (encoding, wrong_tag) in
+            [(FeatureEncoding::without_history(), 1), (FeatureEncoding::with_history(), 0)]
+        {
+            let data = build_delay_dataset(encoding, &[(&w, &c)]);
+            let params = TevotParams {
+                forest: ForestParams { num_trees: 2, ..ForestParams::default() },
+                encoding,
+            };
+            let model = TevotModel::train(&data, &params, &mut SmallRng::seed_from_u64(1));
+            let mut buf = Vec::new();
+            model.save(&mut buf).unwrap();
+            assert_eq!(TevotModel::load(buf.as_slice()).unwrap(), model);
+            buf[2] = wrong_tag;
+            match TevotModel::load(buf.as_slice()).unwrap_err() {
+                LoadModelError::Format { offset, message } => {
+                    assert_eq!(offset, FOREST_WIDTH_OFFSET);
+                    assert_eq!(
+                        u64::from_le_bytes(buf[3 + offset as usize..][..8].try_into().unwrap()),
+                        encoding.num_features() as u64,
+                        "the offset names the width field"
+                    );
+                    assert!(message.contains("features wide"), "{message}");
+                }
+                other => panic!("expected a format error, got {other}"),
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,45 @@
 //! Property tests for the TEVoT core: feature-encoding invertibility,
-//! workload trace round-trips and characterization invariants.
+//! packed-inference bit-identity, workload trace round-trips and
+//! characterization invariants.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use tevot::dta::Characterizer;
 use tevot::workload::{characterization_workload, random_workload};
-use tevot::{FeatureEncoding, Workload};
+use tevot::{build_delay_dataset, FeatureEncoding, TevotModel, TevotParams, Workload};
+use tevot_ml::ForestParams;
 use tevot_netlist::fu::FunctionalUnit;
-use tevot_timing::OperatingCondition;
+use tevot_timing::{ClockSpeedup, OperatingCondition};
+
+/// Small INT ADD models, with and without history, trained once on three
+/// corners so their trees split on V and T as well as on operand bits.
+fn models() -> &'static [TevotModel; 2] {
+    static MODELS: OnceLock<[TevotModel; 2]> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        let fu = FunctionalUnit::IntAdd;
+        let characterizer = Characterizer::new(fu);
+        let work = random_workload(fu, 300, 11);
+        let chars: Vec<_> = [(0.81, 0.0), (0.9, 50.0), (1.0, 100.0)]
+            .into_iter()
+            .map(|(v, t)| {
+                let cond = OperatingCondition::new(v, t);
+                characterizer.characterize(cond, &work, &ClockSpeedup::PAPER)
+            })
+            .collect();
+        let runs: Vec<_> = chars.iter().map(|c| (&work, c)).collect();
+        [FeatureEncoding::with_history(), FeatureEncoding::without_history()].map(|encoding| {
+            let params = TevotParams {
+                forest: ForestParams { num_trees: 4, ..ForestParams::default() },
+                encoding,
+            };
+            let data = build_delay_dataset(encoding, &runs);
+            TevotModel::train(&data, &params, &mut SmallRng::seed_from_u64(3))
+        })
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -81,6 +114,31 @@ proptest! {
                 (0, 0)
             };
             prop_assert!(w.operands().contains(&corner), "{fu}");
+        }
+    }
+
+    /// `predict_delay_ps` (packed operand bits, no row) is bit-identical
+    /// to the forest walked over the encoded `f64` row, for both
+    /// encodings, any operands and any (V, T), on the grid or off it.
+    #[test]
+    fn packed_prediction_is_bit_identical_to_the_encoded_row(
+        a: u32, b: u32, pa: u32, pb: u32,
+        v in prop_oneof![Just(0.81), Just(0.9), Just(1.0), 0.6f64..1.2],
+        t in prop_oneof![Just(0.0), Just(50.0), Just(100.0), -40.0f64..150.0],
+    ) {
+        let cond = OperatingCondition::new(v, t);
+        // Random words rarely hit the trained operand structure; their
+        // low bits and the all-zero word do.
+        let low = |x: u32| x & 0xff;
+        let transitions = [((a, b), (pa, pb)), ((low(a), low(b)), (low(pa), 0)), ((0, 0), (a, b))];
+        for (cur, prev) in transitions {
+            for model in models() {
+                let row = model.encoding().encode(cond, cur, prev);
+                prop_assert_eq!(
+                    model.predict_delay_ps(cond, cur, prev).to_bits(),
+                    model.forest().predict(&row).to_bits()
+                );
+            }
         }
     }
 }

@@ -109,6 +109,15 @@ impl RandomForestRegressor {
         self.trees.iter().map(|t| t.predict(row)).sum::<f64>() / self.trees.len() as f64
     }
 
+    /// Mean prediction across all trees from a feature reader (see
+    /// [`DecisionTree::predict_by`]). Trees are summed in the same order
+    /// as [`Self::predict`], so for a reader returning `row[f]` the result
+    /// is bit-identical.
+    #[inline]
+    pub fn predict_by(&self, x: impl Fn(u32) -> f64) -> f64 {
+        self.trees.iter().map(|t| t.predict_by(&x)).sum::<f64>() / self.trees.len() as f64
+    }
+
     /// Predicts every row of a dataset.
     pub fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
         (0..data.len()).map(|i| self.predict(data.row(i))).collect()
@@ -133,7 +142,7 @@ impl RandomForestRegressor {
 }
 
 fn feature_importances(trees: &[DecisionTree]) -> Vec<f64> {
-    let num_features = trees.first().map(DecisionTree::num_features_raw).unwrap_or(0);
+    let num_features = trees.first().map(DecisionTree::num_features).unwrap_or(0);
     let mut acc = vec![0.0; num_features];
     for tree in trees {
         tree.accumulate_importances(&mut acc);

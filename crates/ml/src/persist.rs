@@ -248,24 +248,46 @@ fn read_trees<R: Read>(
         if num_nodes == 0 || num_nodes > 100_000_000 {
             return Err(LoadModelError::format(at, format!("implausible node count {num_nodes}")));
         }
-        let mut nodes = Vec::with_capacity(num_nodes);
-        for _ in 0..num_nodes {
+        // Capacity grows with the data actually read, not the claimed count.
+        let mut nodes = Vec::with_capacity(num_nodes.min(1 << 16));
+        let mut has_parent = vec![false; num_nodes.min(1 << 16)];
+        for i in 0..num_nodes {
             let at = r.offset();
             let feature = r.u32()?;
             let value = r.f64()?;
             let left = r.u32()?;
             let right = r.u32()?;
             let gain = r.f64()?;
-            if feature != u32::MAX
-                && (feature as usize >= num_features
+            if feature != u32::MAX {
+                if feature as usize >= num_features
                     || left as usize >= num_nodes
-                    || right as usize >= num_nodes)
-            {
-                return Err(LoadModelError::format(at, "node reference out of range"));
+                    || right as usize >= num_nodes
+                {
+                    return Err(LoadModelError::format(at, "node reference out of range"));
+                }
+                // Children after their parent make every tree acyclic; one
+                // parent per node keeps it a tree (no shared subtrees).
+                if left as usize <= i || right as usize <= i {
+                    return Err(LoadModelError::format(
+                        at,
+                        format!("node {i} has a child index not after its own"),
+                    ));
+                }
+                for child in [left as usize, right as usize] {
+                    if child >= has_parent.len() {
+                        has_parent.resize(child + 1, false);
+                    }
+                    if std::mem::replace(&mut has_parent[child], true) {
+                        return Err(LoadModelError::format(
+                            at,
+                            format!("node {child} has two parents"),
+                        ));
+                    }
+                }
             }
             nodes.push((feature, value, left, right, gain));
         }
-        trees.push(DecisionTree::from_raw(nodes, num_features, task));
+        trees.push(DecisionTree::from_raw(&nodes, num_features, task));
     }
     Ok((trees, num_features))
 }
@@ -291,7 +313,7 @@ pub fn save_classifier(model: &RandomForestClassifier, mut writer: impl Write) -
 }
 
 fn forest_width(trees: &[DecisionTree]) -> usize {
-    trees.first().map_or(0, DecisionTree::num_features_raw)
+    trees.first().map_or(0, DecisionTree::num_features)
 }
 
 /// Deserializes a regressor forest from `reader`. Errors name the byte
@@ -485,6 +507,98 @@ mod tests {
         }
         load_regressor_path(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A one-tree regressor file over `num_features` features with the
+    /// given `(feature, value, left, right)` nodes (gain 0).
+    fn crafted(num_features: u64, nodes: &[(u32, f64, u32, u32)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&num_features.to_le_bytes());
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
+        for &(feature, value, left, right) in nodes {
+            buf.extend_from_slice(&feature.to_le_bytes());
+            buf.extend_from_slice(&value.to_le_bytes());
+            buf.extend_from_slice(&left.to_le_bytes());
+            buf.extend_from_slice(&right.to_le_bytes());
+            buf.extend_from_slice(&0f64.to_le_bytes());
+        }
+        buf
+    }
+
+    /// Byte offset of node `i` in a [`crafted`] file.
+    fn node_offset(i: u64) -> u64 {
+        8 + 4 + 4 + 8 + 8 + 8 + 28 * i
+    }
+
+    fn format_error_at(buf: &[u8], offset: u64, needle: &str) {
+        match load_regressor(buf).unwrap_err() {
+            LoadModelError::Format { offset: at, message } => {
+                assert_eq!(at, offset, "{message}");
+                assert!(message.contains(needle), "{message}");
+            }
+            other => panic!("expected a format error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn self_loop_is_rejected_at_its_node() {
+        // Loaded Ok before, then `predict(&[0.0])` spun forever.
+        format_error_at(&crafted(1, &[(0, 0.5, 0, 0)]), node_offset(0), "not after");
+    }
+
+    #[test]
+    fn back_edge_is_rejected_at_its_node() {
+        let nodes = [(0, 0.5, 1, 2), (0, 0.5, 3, 0), (u32::MAX, 1.0, 0, 0), (u32::MAX, 2.0, 0, 0)];
+        format_error_at(&crafted(1, &nodes), node_offset(1), "not after");
+    }
+
+    #[test]
+    fn shared_child_is_rejected() {
+        let nodes = [(0, 0.5, 1, 1), (u32::MAX, 1.0, 0, 0)];
+        format_error_at(&crafted(1, &nodes), node_offset(0), "two parents");
+    }
+
+    #[test]
+    fn forward_referencing_tree_loads_in_preorder_and_resaves_stably() {
+        // A right spine `k` deep whose left leaves sit after every
+        // internal node: valid, but not preorder. Deep enough that a
+        // recursive re-layout or depth walk would overflow the stack.
+        let k = 100_000u32;
+        let mut nodes: Vec<(u32, f64, u32, u32)> =
+            (0..k).map(|i| (0, 0.5, k + i, if i + 1 < k { i + 1 } else { 2 * k })).collect();
+        nodes.extend((0..=k).map(|i| (u32::MAX, f64::from(i), 0, 0)));
+        let model = load_regressor(crafted(1, &nodes).as_slice()).unwrap();
+        let tree = &model.trees()[0];
+        assert_eq!(tree.num_nodes(), 2 * k as usize + 1);
+        assert_eq!(tree.depth(), k as usize);
+        assert_eq!(model.predict(&[0.0]), 0.0, "first split goes left to leaf k");
+        assert_eq!(model.predict(&[1.0]), f64::from(k), "all right to leaf 2k");
+        assert!(tree
+            .nodes_raw()
+            .enumerate()
+            .all(|(i, (f, _, left, ..))| f == u32::MAX || left as usize == i + 1));
+
+        let mut once = Vec::new();
+        save_regressor(&model, &mut once).unwrap();
+        let reloaded = load_regressor(once.as_slice()).unwrap();
+        assert_eq!(reloaded, model);
+        let mut twice = Vec::new();
+        save_regressor(&reloaded, &mut twice).unwrap();
+        assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn saved_files_resave_byte_identically() {
+        let model = sample_regressor();
+        let mut buf = Vec::new();
+        save_regressor(&model, &mut buf).unwrap();
+        let mut again = Vec::new();
+        save_regressor(&load_regressor(buf.as_slice()).unwrap(), &mut again).unwrap();
+        assert_eq!(buf, again);
     }
 
     #[test]

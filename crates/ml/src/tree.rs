@@ -45,19 +45,17 @@ pub enum Task {
     Classification,
 }
 
+/// One inference node, 16 bytes. Nodes are stored in preorder, so an
+/// internal node's left child is always the next node and only the right
+/// child needs an index.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Node {
-    /// Split feature, or `u32::MAX` for a leaf.
-    feature: u32,
-    /// Split threshold (`x <= threshold` goes left), or the leaf's
-    /// prediction.
+struct Node {
+    /// Split threshold (`x <= value` goes left), or the leaf's prediction.
     value: f64,
-    /// Children (pushed independently, so both are stored).
-    left: u32,
+    /// Split feature, or [`LEAF`] for a leaf.
+    feature: u32,
+    /// Index of the right child (0 for a leaf).
     right: u32,
-    /// Sample-weighted impurity decrease of this split (0 for leaves) —
-    /// the raw material of feature importances.
-    gain: f64,
 }
 
 const LEAF: u32 = u32::MAX;
@@ -84,6 +82,9 @@ const LEAF: u32 = u32::MAX;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
+    /// Sample-weighted impurity decrease of each node's split (0 for
+    /// leaves) — training-only, read by [`Self::accumulate_importances`].
+    gains: Vec<f64>,
     num_features: usize,
     task: Task,
 }
@@ -220,12 +221,18 @@ impl DecisionTree {
             params,
             table,
             nodes: Vec::new(),
+            gains: Vec::new(),
             all_features: (0..data.num_features() as u32).collect(),
         };
         let mut idx = indices.to_vec();
         let root_stats = stats_of(data, &idx, task);
         builder.grow(&mut idx, root_stats, 0, rng);
-        DecisionTree { nodes: builder.nodes, num_features: data.num_features(), task }
+        DecisionTree {
+            nodes: builder.nodes,
+            gains: builder.gains,
+            num_features: data.num_features(),
+            task,
+        }
     }
 
     /// Predicts the target for one feature row (mean label for regression,
@@ -236,13 +243,23 @@ impl DecisionTree {
     /// Panics if the row width differs from the training data.
     pub fn predict(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.num_features, "feature width mismatch");
-        let mut at = 0u32;
+        self.predict_by(|f| row[f as usize])
+    }
+
+    /// Predicts from a feature reader: `x(f)` must return the value of
+    /// feature `f` of the row being predicted. Callers that hold their
+    /// features in a packed form read them in place instead of building
+    /// an `f64` row; the walk (and so the result) is the one
+    /// [`Self::predict`] takes.
+    #[inline]
+    pub fn predict_by(&self, x: impl Fn(u32) -> f64) -> f64 {
+        let mut at = 0;
         loop {
-            let node = &self.nodes[at as usize];
+            let node = self.nodes[at];
             if node.feature == LEAF {
                 return node.value;
             }
-            at = if row[node.feature as usize] <= node.value { node.left } else { node.right };
+            at = if x(node.feature) <= node.value { at + 1 } else { node.right as usize };
         }
     }
 
@@ -253,15 +270,19 @@ impl DecisionTree {
 
     /// Maximum depth actually reached.
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], at: u32) -> usize {
-            let n = &nodes[at as usize];
-            if n.feature == LEAF {
-                0
+        // Iterative, so a deep loaded tree cannot overflow the stack.
+        let mut deepest = 0;
+        let mut stack = vec![(0, 0)];
+        while let Some((at, depth)) = stack.pop() {
+            let node = self.nodes[at];
+            if node.feature == LEAF {
+                deepest = deepest.max(depth);
             } else {
-                1 + walk(nodes, n.left).max(walk(nodes, n.right))
+                stack.push((at + 1, depth + 1));
+                stack.push((node.right as usize, depth + 1));
             }
         }
-        walk(&self.nodes, 0)
+        deepest
     }
 
     /// The task this tree was trained for.
@@ -281,31 +302,57 @@ impl DecisionTree {
     /// Panics if `acc.len()` differs from the training feature count.
     pub fn accumulate_importances(&self, acc: &mut [f64]) {
         assert_eq!(acc.len(), self.num_features, "importance buffer width mismatch");
-        for node in &self.nodes {
+        for (node, gain) in self.nodes.iter().zip(&self.gains) {
             if node.feature != LEAF {
-                acc[node.feature as usize] += node.gain;
+                acc[node.feature as usize] += gain;
             }
         }
     }
 
-    pub(crate) fn num_features_raw(&self) -> usize {
+    /// Number of features the tree was trained on.
+    pub fn num_features(&self) -> usize {
         self.num_features
     }
 
-    pub(crate) fn nodes_raw(&self) -> impl Iterator<Item = (u32, f64, u32, u32, f64)> + '_ {
-        self.nodes.iter().map(|n| (n.feature, n.value, n.left, n.right, n.gain))
+    /// The nodes in their persisted form `(feature, value, left, right,
+    /// gain)`, in preorder: an internal node has `left = index + 1`, a
+    /// leaf has `feature == u32::MAX` and `left = right = 0`.
+    pub fn nodes_raw(&self) -> impl Iterator<Item = (u32, f64, u32, u32, f64)> + '_ {
+        self.nodes.iter().zip(&self.gains).enumerate().map(|(i, (n, &gain))| {
+            let left = if n.feature == LEAF { 0 } else { i as u32 + 1 };
+            (n.feature, n.value, left, n.right, gain)
+        })
     }
 
+    /// Builds a tree from persisted nodes, laying them out in preorder
+    /// (the identity for nodes [`Self::nodes_raw`] produced). The caller
+    /// guarantees a tree rooted at node 0: every child index is in range,
+    /// greater than its parent's, and referenced by one parent only.
+    /// Nodes the root does not reach are dropped.
     pub(crate) fn from_raw(
-        nodes: Vec<(u32, f64, u32, u32, f64)>,
+        raw: &[(u32, f64, u32, u32, f64)],
         num_features: usize,
         task: Task,
     ) -> Self {
-        let nodes = nodes
-            .into_iter()
-            .map(|(feature, value, left, right, gain)| Node { feature, value, left, right, gain })
-            .collect();
-        DecisionTree { nodes, num_features, task }
+        let mut nodes: Vec<Node> = Vec::with_capacity(raw.len());
+        let mut gains = Vec::with_capacity(raw.len());
+        // (raw index, new index of the parent whose right child this is).
+        let mut stack = vec![(0u32, None::<usize>)];
+        while let Some((old, parent)) = stack.pop() {
+            let id = nodes.len();
+            if let Some(p) = parent {
+                nodes[p].right = id as u32;
+            }
+            let (feature, value, left, right, gain) = raw[old as usize];
+            nodes.push(Node { value, feature, right: 0 });
+            gains.push(gain);
+            if feature != LEAF {
+                // Left is popped first, so it lands at `id + 1`.
+                stack.push((right, Some(id)));
+                stack.push((left, None));
+            }
+        }
+        DecisionTree { nodes, gains, num_features, task }
     }
 }
 
@@ -323,6 +370,7 @@ struct TreeBuilder<'a, 'p> {
     params: &'p TreeParams,
     table: &'a ThresholdTable,
     nodes: Vec<Node>,
+    gains: Vec<f64>,
     all_features: Vec<u32>,
 }
 
@@ -338,13 +386,8 @@ impl TreeBuilder<'_, '_> {
         let split = if make_leaf { None } else { self.best_split(indices, &stats, rng) };
         let Some((gain, feature, threshold, left_stats)) = split else {
             let id = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                feature: LEAF,
-                value: stats.prediction(self.task),
-                left: 0,
-                right: 0,
-                gain: 0.0,
-            });
+            self.nodes.push(Node { value: stats.prediction(self.task), feature: LEAF, right: 0 });
+            self.gains.push(0.0);
             return id;
         };
 
@@ -367,13 +410,14 @@ impl TreeBuilder<'_, '_> {
         right_stats.sum_sq -= left_stats.sum_sq;
 
         let id = self.nodes.len() as u32;
-        self.nodes.push(Node { feature, value: threshold, left: 0, right: 0, gain });
+        self.nodes.push(Node { value: threshold, feature, right: 0 });
+        self.gains.push(gain);
         tevot_obs::metrics::ML_NODE_SPLITS.incr();
         let (left_idx, right_idx) = indices.split_at_mut(lo);
+        // Preorder: the left subtree starts right after this node.
         let left = self.grow(left_idx, left_stats, depth + 1, rng);
-        let right = self.grow(right_idx, right_stats, depth + 1, rng);
-        self.nodes[id as usize].left = left;
-        self.nodes[id as usize].right = right;
+        debug_assert_eq!(left, id + 1);
+        self.nodes[id as usize].right = self.grow(right_idx, right_stats, depth + 1, rng);
         id
     }
 
@@ -447,6 +491,11 @@ mod tests {
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(42)
+    }
+
+    #[test]
+    fn nodes_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
     }
 
     #[test]

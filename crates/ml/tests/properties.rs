@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tevot_ml::{
-    metrics, Dataset, DecisionTree, ForestParams, KnnRegressor, LinearRegression,
+    metrics, persist, Dataset, DecisionTree, ForestParams, KnnRegressor, LinearRegression,
     RandomForestClassifier, RandomForestRegressor, Scaler, Task, TreeParams,
 };
 
@@ -30,6 +30,32 @@ fn rows(
         ),
         len,
     )
+}
+
+/// The traversal as it was before trees were stored in preorder: follow
+/// the explicit `left`/`right` indices of the persisted node form.
+fn reference_walk(tree: &DecisionTree, row: &[f64]) -> f64 {
+    let nodes: Vec<_> = tree.nodes_raw().collect();
+    let mut at = 0;
+    loop {
+        let (feature, value, left, right, _) = nodes[at];
+        if feature == u32::MAX {
+            return value;
+        }
+        at = if row[feature as usize] <= value { left } else { right } as usize;
+    }
+}
+
+fn reference_forest(forest: &RandomForestRegressor, row: &[f64]) -> f64 {
+    let trees = forest.trees();
+    trees.iter().map(|t| reference_walk(t, row)).sum::<f64>() / trees.len() as f64
+}
+
+/// Feature values with the float edge cases a threshold compare can trip
+/// on: signed zeros, exact split values and (for queries) NaN.
+fn edgy(nan: bool) -> BoxedStrategy<f64> {
+    let nan = if nan { f64::NAN } else { 0.5 };
+    prop_oneof![Just(0.0), Just(-0.0), Just(1.0), Just(0.5), Just(nan), -100.0f64..100.0].boxed()
 }
 
 proptest! {
@@ -168,5 +194,46 @@ proptest! {
         let m = metrics::ConfusionMatrix::from_labels(&p, &a);
         prop_assert_eq!(m.total(), p.len());
         prop_assert!((m.accuracy() - metrics::accuracy(&p, &a)).abs() < 1e-12);
+    }
+
+    /// `predict_by` over `row[f]` is bit-identical to the index-following
+    /// walk, per tree and per forest, on fitted forests and on the same
+    /// forests after a save/load round trip.
+    #[test]
+    fn predict_by_is_bit_identical_to_the_index_walk(
+        data in vec((vec(edgy(false), 4), -1000.0f64..1000.0), 10..60),
+        queries in vec(vec(edgy(true), 4), 1..24),
+        seed: u64,
+    ) {
+        let d = dataset(&data);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let params = ForestParams { num_trees: 4, ..ForestParams::default() };
+        let rf = RandomForestRegressor::fit(&d, &params, &mut rng);
+        let mut buf = Vec::new();
+        persist::save_regressor(&rf, &mut buf).unwrap();
+        let loaded = persist::load_regressor(buf.as_slice()).unwrap();
+        // Rows sitting exactly on split thresholds pin `<=` against `<`.
+        let on_splits: Vec<Vec<f64>> = rf
+            .trees()
+            .iter()
+            .flat_map(DecisionTree::nodes_raw)
+            .filter(|&(feature, ..)| feature != u32::MAX)
+            .map(|(_, threshold, ..)| vec![threshold; 4])
+            .collect();
+        let rows = queries.iter().chain(&on_splits).map(Vec::as_slice);
+        for row in rows.chain(d.iter().map(|(r, _)| r)) {
+            // The fitted forest's walk is the judge for the loaded one too.
+            let expect = reference_forest(&rf, row).to_bits();
+            for forest in [&rf, &loaded] {
+                prop_assert_eq!(forest.predict_by(|f| row[f as usize]).to_bits(), expect);
+                prop_assert_eq!(forest.predict(row).to_bits(), expect);
+                for tree in forest.trees() {
+                    prop_assert_eq!(
+                        tree.predict_by(|f| row[f as usize]).to_bits(),
+                        reference_walk(tree, row).to_bits()
+                    );
+                }
+            }
+        }
     }
 }
