@@ -10,7 +10,7 @@
 use rand::Rng;
 
 use crate::dataset::Dataset;
-use crate::tree::{DecisionTree, Task, ThresholdTable, TreeParams};
+use crate::tree::{BinnedMatrix, DecisionTree, Task, TreeParams};
 
 /// Hyper-parameters for [`GradientBoostedRegressor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -80,16 +80,20 @@ impl GradientBoostedRegressor {
         );
         let n = data.len();
         let base = data.labels().iter().sum::<f64>() / n as f64;
-        let table = ThresholdTable::build(data);
+        let bins = BinnedMatrix::build(data);
 
         let mut prediction = vec![base; n];
         let sample_len = ((n as f64 * params.subsample).round() as usize).clamp(1, n);
         let mut indices: Vec<u32> = (0..n as u32).collect();
+        let mut residual = vec![0.0; n];
         let mut trees = Vec::with_capacity(params.num_rounds);
         for _ in 0..params.num_rounds {
             tevot_obs::metrics::ML_TRAIN_ITERATIONS.incr();
-            // Residuals are the squared-loss negative gradients.
-            let residual = data.clone_with_labels(|i| data.label(i) - prediction[i]);
+            // Residuals are the squared-loss negative gradients; each
+            // round's tree fits them over the same bins.
+            for ((r, &y), &p) in residual.iter_mut().zip(data.labels()).zip(&prediction) {
+                *r = y - p;
+            }
             if params.subsample < 1.0 {
                 // Partial Fisher-Yates for a fresh subsample each round.
                 for i in 0..sample_len {
@@ -97,12 +101,12 @@ impl GradientBoostedRegressor {
                     indices.swap(i, j);
                 }
             }
-            let tree = DecisionTree::fit_with_table(
+            let tree = DecisionTree::fit_binned(
+                &bins,
                 &residual,
                 &indices[..sample_len],
                 Task::Regression,
                 &params.tree,
-                &table,
                 rng,
             );
             for (i, p) in prediction.iter_mut().enumerate() {
@@ -126,18 +130,6 @@ impl GradientBoostedRegressor {
     /// Number of boosting rounds performed.
     pub fn num_rounds(&self) -> usize {
         self.trees.len()
-    }
-}
-
-impl Dataset {
-    /// Clones this dataset with labels recomputed from the row index —
-    /// the residual-update primitive of gradient boosting.
-    pub fn clone_with_labels(&self, f: impl Fn(usize) -> f64) -> Dataset {
-        let mut out = Dataset::with_capacity(self.num_features(), self.len());
-        for i in 0..self.len() {
-            out.push(self.row(i), f(i));
-        }
-        out
     }
 }
 
@@ -207,14 +199,5 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let params = BoostParams { learning_rate: 0.0, ..Default::default() };
         let _ = GradientBoostedRegressor::fit(&d, &params, &mut rng);
-    }
-
-    #[test]
-    fn clone_with_labels_replaces_labels_only() {
-        let d = wiggly();
-        let r = d.clone_with_labels(|i| i as f64);
-        assert_eq!(r.len(), d.len());
-        assert_eq!(r.row(5), d.row(5));
-        assert_eq!(r.label(5), 5.0);
     }
 }

@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
-use crate::tree::{DecisionTree, Task, ThresholdTable, TreeParams};
+use crate::tree::{BinnedMatrix, DecisionTree, Task, TreeParams};
 
 /// Hyper-parameters of a random forest.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,7 +43,7 @@ fn fit_trees(
 ) -> Vec<DecisionTree> {
     assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
     assert!(params.num_trees > 0, "forest needs at least one tree");
-    let table = ThresholdTable::build(data);
+    let bins = BinnedMatrix::build(data);
     let n = data.len();
     // One seed per tree, drawn serially from the caller's RNG: each
     // tree's bootstrap sample and split randomness then come from its
@@ -64,7 +64,7 @@ fn fit_trees(
         }
         tevot_obs::metrics::ML_TRAIN_ITERATIONS.incr();
         tevot_obs::instant!("ml.tree_fitted");
-        DecisionTree::fit_with_table(data, &indices, task, &params.tree, &table, &mut tree_rng)
+        DecisionTree::fit_binned(&bins, data.labels(), &indices, task, &params.tree, &mut tree_rng)
     })
 }
 

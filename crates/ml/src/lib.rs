@@ -57,4 +57,4 @@ pub use forest::{ForestParams, RandomForestClassifier, RandomForestRegressor};
 pub use knn::{KnnClassifier, KnnRegressor};
 pub use linear::{LinearClassifier, LinearRegression};
 pub use svm::{LinearSvm, SvmParams};
-pub use tree::{DecisionTree, Task, ThresholdTable, TreeParams, MAX_THRESHOLDS};
+pub use tree::{DecisionTree, Task, TreeParams, MAX_THRESHOLDS};

@@ -2,10 +2,11 @@
 //!
 //! The implementation is histogram-based: candidate thresholds for each
 //! feature come from its globally observed distinct values (capped at
-//! [`MAX_THRESHOLDS`], beyond which quantiles are used). TEVoT's feature
-//! space — 128 bit-features plus the small discrete voltage/temperature
-//! axes — makes this both exact and fast: a bit feature has one candidate
-//! threshold, voltage twenty.
+//! [`MAX_THRESHOLDS`], beyond which quantiles are used), and trees grow on
+//! a matrix of bin codes built once per forest. TEVoT's feature space —
+//! 128 bit-features plus the small discrete voltage/temperature axes —
+//! makes this both exact and fast: a bit feature has one candidate
+//! threshold and is stored as one bit of a per-row mask, voltage twenty.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -89,49 +90,148 @@ pub struct DecisionTree {
     task: Task,
 }
 
-/// Per-feature candidate thresholds, shared across the trees of a forest.
-#[derive(Debug, Clone)]
-pub struct ThresholdTable {
-    /// Sorted candidate thresholds per feature (midpoints between adjacent
-    /// observed distinct values).
-    cuts: Vec<Vec<f64>>,
+/// Where a feature's bins live in a [`BinnedMatrix`].
+#[derive(Debug, Clone, Copy)]
+enum Column {
+    /// No candidate threshold (a constant or all-NaN feature): never split on.
+    Constant,
+    /// One threshold: bit `slot` of every row's mask, set when the row is
+    /// in bin 0 (at or below the cut).
+    Bit(u32),
+    /// Several thresholds: column `index` of the `u16` bin codes.
+    Codes(u32),
 }
 
-impl ThresholdTable {
-    /// Scans `data` once and derives the candidate thresholds of every
-    /// feature.
-    pub fn build(data: &Dataset) -> Self {
-        let d = data.num_features();
-        let n = data.len();
-        let mut cuts = Vec::with_capacity(d);
-        let mut values: Vec<f64> = Vec::with_capacity(n);
-        for f in 0..d {
-            values.clear();
-            values.extend((0..n).map(|i| data.row(i)[f]));
-            values.sort_by(f64::total_cmp);
-            values.dedup();
-            let distinct = &values[..];
-            let mut c: Vec<f64> = if distinct.len() <= MAX_THRESHOLDS + 1 {
-                distinct.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect()
-            } else {
-                // Quantile subsample.
-                (1..=MAX_THRESHOLDS)
-                    .map(|k| {
-                        let idx = k * (distinct.len() - 1) / (MAX_THRESHOLDS + 1);
-                        0.5 * (distinct[idx] + distinct[idx + 1])
-                    })
-                    .collect()
-            };
-            c.dedup();
-            cuts.push(c);
+/// The training form of a dataset's features: every value replaced by its
+/// bin, the number of candidate thresholds below it. Built once per fit
+/// and shared read-only by the trees of a forest and the rounds of
+/// boosting.
+///
+/// Candidate thresholds for each feature are the midpoints between its
+/// adjacent distinct non-NaN values (quantiles of them beyond
+/// [`MAX_THRESHOLDS`]). A value goes left of cut `j` when its bin is at
+/// most `j`, which for a number is `x <= cut` — the test
+/// [`DecisionTree::predict`] applies. A NaN is in the last bin, so it goes
+/// right of every cut, as it does in prediction.
+///
+/// A feature with one cut (every TEVoT bit feature) is stored as one bit
+/// of a per-row mask; features with more cuts (`V`, `T`, continuous data)
+/// as a column of `u16` codes.
+#[derive(Debug, Clone)]
+pub(crate) struct BinnedMatrix {
+    rows: usize,
+    /// Sorted candidate thresholds per feature.
+    cuts: Vec<Vec<f64>>,
+    columns: Vec<Column>,
+    /// Mask words per row.
+    words: usize,
+    /// Row `i`'s mask is `masks[i * words..][..words]`.
+    masks: Vec<u64>,
+    /// Column `c`'s code for row `i` is `codes[c * rows + i]`.
+    codes: Vec<u16>,
+}
+
+impl BinnedMatrix {
+    /// Derives every feature's thresholds column by column, then bins the
+    /// rows.
+    pub(crate) fn build(data: &Dataset) -> Self {
+        let (rows, d) = (data.len(), data.num_features());
+        let _span = tevot_obs::span!("ml.bin", "{rows} rows x {d} features");
+        let mut values: Vec<f64> = Vec::with_capacity(rows);
+        let cuts: Vec<Vec<f64>> = (0..d)
+            .map(|f| {
+                values.clear();
+                values.extend((0..rows).map(|i| data.row(i)[f]).filter(|x| !x.is_nan()));
+                cuts_of(&mut values)
+            })
+            .collect();
+        let (mut slots, mut code_columns) = (0u32, 0u32);
+        let columns: Vec<Column> = cuts
+            .iter()
+            .map(|c| match c.len() {
+                0 => Column::Constant,
+                1 => {
+                    slots += 1;
+                    Column::Bit(slots - 1)
+                }
+                _ => {
+                    code_columns += 1;
+                    Column::Codes(code_columns - 1)
+                }
+            })
+            .collect();
+        let words = (slots as usize).div_ceil(64);
+        let mut masks = vec![0u64; rows * words];
+        let mut codes = vec![0u16; code_columns as usize * rows];
+        for i in 0..rows {
+            for ((&x, c), column) in data.row(i).iter().zip(&cuts).zip(&columns) {
+                match *column {
+                    Column::Constant => {}
+                    Column::Bit(s) => {
+                        if x <= c[0] {
+                            masks[i * words + s as usize / 64] |= 1 << (s % 64);
+                        }
+                    }
+                    Column::Codes(k) => {
+                        let bin = if x.is_nan() { c.len() } else { c.partition_point(|&t| t < x) };
+                        codes[k as usize * rows + i] = bin as u16;
+                    }
+                }
+            }
         }
-        ThresholdTable { cuts }
+        BinnedMatrix { rows, cuts, columns, words, masks, codes }
     }
 
     /// Candidate thresholds for feature `f`.
-    pub fn cuts(&self, f: usize) -> &[f64] {
+    fn cuts(&self, f: usize) -> &[f64] {
         &self.cuts[f]
     }
+
+    /// Row `i`'s mask: bit `s` is set when the feature in slot `s` is at
+    /// or below its single cut.
+    #[inline]
+    fn mask(&self, i: usize) -> &[u64] {
+        &self.masks[i * self.words..][..self.words]
+    }
+
+    /// Feature `c`'s codes, one per row.
+    #[inline]
+    fn codes(&self, c: u32) -> &[u16] {
+        &self.codes[c as usize * self.rows..][..self.rows]
+    }
+
+    /// Whether row `i` goes left of cut `cut` of feature `f`.
+    #[inline]
+    fn goes_left(&self, i: usize, f: u32, cut: usize) -> bool {
+        match self.columns[f as usize] {
+            Column::Constant => unreachable!("split on a feature without cuts"),
+            Column::Bit(s) => self.mask(i)[s as usize / 64] >> (s % 64) & 1 == 1,
+            Column::Codes(c) => self.codes(c)[i] as usize <= cut,
+        }
+    }
+}
+
+/// The candidate thresholds of a feature with the non-NaN `values`
+/// (reordered in place).
+fn cuts_of(values: &mut Vec<f64>) -> Vec<f64> {
+    // `total_cmp`-equal values are bit-identical, so an unstable sort
+    // gives the stable sort's order.
+    values.sort_unstable_by(f64::total_cmp);
+    values.dedup();
+    let distinct = &values[..];
+    let mut c: Vec<f64> = if distinct.len() <= MAX_THRESHOLDS + 1 {
+        distinct.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect()
+    } else {
+        // Quantile subsample.
+        (1..=MAX_THRESHOLDS)
+            .map(|k| {
+                let idx = k * (distinct.len() - 1) / (MAX_THRESHOLDS + 1);
+                0.5 * (distinct[idx] + distinct[idx + 1])
+            })
+            .collect()
+    };
+    c.dedup();
+    c
 }
 
 /// Running label statistics sufficient for both impurity criteria.
@@ -143,11 +243,10 @@ struct Stats {
 }
 
 impl Stats {
+    /// The statistics of one label; merging them in is adding the label.
     #[inline]
-    fn add(&mut self, label: f64) {
-        self.n += 1.0;
-        self.sum += label;
-        self.sum_sq += label * label;
+    fn of(label: f64) -> Stats {
+        Stats { n: 1.0, sum: label, sum_sq: label * label }
     }
 
     #[inline]
@@ -188,49 +287,54 @@ impl DecisionTree {
     /// Fits a tree on `data`.
     ///
     /// `rng` is only consulted when `params.max_features` restricts the
-    /// per-split feature subset.
+    /// per-split feature subset. A NaN feature value goes right of every
+    /// split, in the fit as in [`Self::predict`].
     ///
     /// # Panics
     ///
     /// Panics on an empty dataset.
     pub fn fit(data: &Dataset, task: Task, params: &TreeParams, rng: &mut impl Rng) -> Self {
-        let table = ThresholdTable::build(data);
+        let bins = BinnedMatrix::build(data);
         let indices: Vec<u32> = (0..data.len() as u32).collect();
-        Self::fit_with_table(data, &indices, task, params, &table, rng)
+        Self::fit_binned(&bins, data.labels(), &indices, task, params, rng)
     }
 
-    /// Fits a tree on the rows of `data` selected (with multiplicity) by
-    /// `indices`, reusing a prebuilt [`ThresholdTable`] — the forest
-    /// training path.
+    /// Fits a tree on the rows of `bins` selected (with multiplicity) by
+    /// `indices`, labelled by `labels` (one per row of `bins`) — the path
+    /// of forests and boosting, which bin once and fit many trees.
     ///
     /// # Panics
     ///
     /// Panics if `indices` is empty.
-    pub fn fit_with_table(
-        data: &Dataset,
+    pub(crate) fn fit_binned(
+        bins: &BinnedMatrix,
+        labels: &[f64],
         indices: &[u32],
         task: Task,
         params: &TreeParams,
-        table: &ThresholdTable,
         rng: &mut impl Rng,
     ) -> Self {
         assert!(!indices.is_empty(), "cannot fit a tree on zero samples");
+        assert_eq!(labels.len(), bins.rows, "one label per binned row");
         let mut builder = TreeBuilder {
-            data,
+            bins,
+            labels,
             task,
             params,
-            table,
             nodes: Vec::new(),
             gains: Vec::new(),
-            all_features: (0..data.num_features() as u32).collect(),
+            all_features: (0..bins.columns.len() as u32).collect(),
+            selected: vec![u64::MAX; bins.words],
+            bit_left: vec![Stats::default(); bins.words * 64],
+            bucket: Vec::new(),
         };
         let mut idx = indices.to_vec();
-        let root_stats = stats_of(data, &idx, task);
+        let root_stats = stats_of(labels, &idx);
         builder.grow(&mut idx, root_stats, 0, rng);
         DecisionTree {
             nodes: builder.nodes,
             gains: builder.gains,
-            num_features: data.num_features(),
+            num_features: bins.columns.len(),
             task,
         }
     }
@@ -356,22 +460,37 @@ impl DecisionTree {
     }
 }
 
-fn stats_of(data: &Dataset, indices: &[u32], _task: Task) -> Stats {
+fn stats_of(labels: &[f64], indices: &[u32]) -> Stats {
     let mut s = Stats::default();
     for &i in indices {
-        s.add(data.label(i as usize));
+        s.merge(&Stats::of(labels[i as usize]));
     }
     s
 }
 
+/// A chosen split: `feature` at its cut number `cut`.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    gain: f64,
+    feature: u32,
+    cut: usize,
+    left: Stats,
+}
+
 struct TreeBuilder<'a, 'p> {
-    data: &'a Dataset,
+    bins: &'a BinnedMatrix,
+    labels: &'a [f64],
     task: Task,
     params: &'p TreeParams,
-    table: &'a ThresholdTable,
     nodes: Vec<Node>,
     gains: Vec<f64>,
     all_features: Vec<u32>,
+    /// Mask words selecting the single-cut features examined at a node.
+    selected: Vec<u64>,
+    /// Left-side stats per single-cut slot, for the node being split.
+    bit_left: Vec<Stats>,
+    /// Histogram over the bins of one multi-cut feature.
+    bucket: Vec<Stats>,
 }
 
 impl TreeBuilder<'_, '_> {
@@ -384,18 +503,19 @@ impl TreeBuilder<'_, '_> {
             || node_impurity <= 1e-12;
 
         let split = if make_leaf { None } else { self.best_split(indices, &stats, rng) };
-        let Some((gain, feature, threshold, left_stats)) = split else {
+        let Some(Split { gain, feature, cut, left: left_stats }) = split else {
             let id = self.nodes.len() as u32;
             self.nodes.push(Node { value: stats.prediction(self.task), feature: LEAF, right: 0 });
             self.gains.push(0.0);
             return id;
         };
 
-        // Partition in place: `x <= threshold` first.
+        // Partition in place by the bins the split was scored on: left
+        // side first.
         let mut lo = 0;
         let mut hi = indices.len();
         while lo < hi {
-            if self.data.row(indices[lo] as usize)[feature as usize] <= threshold {
+            if self.bins.goes_left(indices[lo] as usize, feature, cut) {
                 lo += 1;
             } else {
                 hi -= 1;
@@ -403,6 +523,7 @@ impl TreeBuilder<'_, '_> {
             }
         }
         debug_assert!(lo > 0 && lo < indices.len(), "degenerate split");
+        debug_assert_eq!(lo as f64, left_stats.n, "partition disagrees with the histogram");
 
         let mut right_stats = stats;
         right_stats.n -= left_stats.n;
@@ -410,6 +531,7 @@ impl TreeBuilder<'_, '_> {
         right_stats.sum_sq -= left_stats.sum_sq;
 
         let id = self.nodes.len() as u32;
+        let threshold = self.bins.cuts(feature as usize)[cut];
         self.nodes.push(Node { value: threshold, feature, right: 0 });
         self.gains.push(gain);
         tevot_obs::metrics::ML_NODE_SPLITS.incr();
@@ -421,65 +543,97 @@ impl TreeBuilder<'_, '_> {
         id
     }
 
-    /// Finds the impurity-minimizing split, returning
-    /// `(feature, threshold, left_stats)`.
-    fn best_split(
-        &mut self,
-        indices: &[u32],
-        stats: &Stats,
-        rng: &mut impl Rng,
-    ) -> Option<(f64, u32, f64, Stats)> {
-        let parent_impurity = stats.impurity(self.task);
-        let min_leaf = self.params.min_samples_leaf as f64;
-        let mut best: Option<(f64, u32, f64, Stats)> = None;
+    /// Finds the impurity-minimizing split.
+    ///
+    /// Features are scored in `all_features` order and a later candidate
+    /// wins only with a strictly larger gain. Each candidate's left stats
+    /// are summed over the node's rows in index order, whatever the
+    /// feature's storage, so the choice does not depend on it.
+    fn best_split(&mut self, indices: &[u32], stats: &Stats, rng: &mut impl Rng) -> Option<Split> {
+        let TreeBuilder {
+            bins,
+            labels,
+            task,
+            params,
+            all_features,
+            selected,
+            bit_left,
+            bucket,
+            ..
+        } = self;
+        let parent_impurity = stats.impurity(*task);
+        let min_leaf = params.min_samples_leaf as f64;
 
-        let feature_count = self
-            .params
-            .max_features
-            .map(|m| m.min(self.all_features.len()))
-            .unwrap_or(self.all_features.len());
-        if feature_count < self.all_features.len() {
-            self.all_features.partial_shuffle(rng, feature_count);
-        }
-
-        // Scratch histogram over candidate thresholds.
-        let mut bucket: Vec<Stats> = Vec::new();
-        for fi in 0..feature_count {
-            let f = self.all_features[fi] as usize;
-            let cuts = self.table.cuts(f);
-            if cuts.is_empty() {
-                continue;
-            }
-            bucket.clear();
-            bucket.resize(cuts.len() + 1, Stats::default());
-            for &i in indices {
-                let x = self.data.row(i as usize)[f];
-                // First cut > x  ==  number of cuts <= x.
-                let b = cuts.partition_point(|&c| c < x);
-                bucket[b].add(self.data.label(i as usize));
-            }
-            // Prefix-scan: left side of cut j = buckets 0..=j.
-            let mut left = Stats::default();
-            for (j, b) in bucket[..cuts.len()].iter().enumerate() {
-                left.merge(b);
-                let right_n = stats.n - left.n;
-                if left.n < min_leaf || right_n < min_leaf || left.n == 0.0 || right_n == 0.0 {
-                    continue;
-                }
-                let mut right = *stats;
-                right.n -= left.n;
-                right.sum -= left.sum;
-                right.sum_sq -= left.sum_sq;
-                // A zero-gain split is still accepted (mirroring CART as
-                // implemented in scikit-learn): concepts like XOR have no
-                // first-level gain yet are perfectly separable below.
-                let gain = parent_impurity - left.impurity(self.task) - right.impurity(self.task);
-                if best.map_or(gain > -1e-12, |(g, ..)| gain > g) {
-                    best = Some((gain, f as u32, cuts[j], left));
+        let feature_count =
+            params.max_features.map(|m| m.min(all_features.len())).unwrap_or(all_features.len());
+        if feature_count < all_features.len() {
+            all_features.partial_shuffle(rng, feature_count);
+            selected.fill(0);
+            for &f in &all_features[..feature_count] {
+                if let Column::Bit(s) = bins.columns[f as usize] {
+                    selected[s as usize / 64] |= 1 << (s % 64);
                 }
             }
         }
-        best.map(|(g, f, t, l)| (g.max(0.0), f, t, l))
+
+        // Single-cut features: one pass over the rows adds each label to
+        // the left stats of every selected feature the row is in bin 0 of.
+        bit_left.fill(Stats::default());
+        for &i in indices.iter() {
+            let y = Stats::of(labels[i as usize]);
+            for (k, (&word, &sel)) in bins.mask(i as usize).iter().zip(selected.iter()).enumerate()
+            {
+                let mut w = word & sel;
+                while w != 0 {
+                    bit_left[k * 64 + w.trailing_zeros() as usize].merge(&y);
+                    w &= w - 1;
+                }
+            }
+        }
+
+        let mut best: Option<Split> = None;
+        let mut consider = |feature: u32, cut: usize, left: Stats| {
+            let right_n = stats.n - left.n;
+            if left.n < min_leaf || right_n < min_leaf || left.n == 0.0 || right_n == 0.0 {
+                return;
+            }
+            let mut right = *stats;
+            right.n -= left.n;
+            right.sum -= left.sum;
+            right.sum_sq -= left.sum_sq;
+            // A zero-gain split is still accepted (mirroring CART as
+            // implemented in scikit-learn): concepts like XOR have no
+            // first-level gain yet are perfectly separable below.
+            let gain = parent_impurity - left.impurity(*task) - right.impurity(*task);
+            if best.map_or(gain > -1e-12, |b| gain > b.gain) {
+                best = Some(Split { gain, feature, cut, left });
+            }
+        };
+        for &f in &all_features[..feature_count] {
+            match bins.columns[f as usize] {
+                Column::Constant => {}
+                // Bin 0's sums are the left side of the one cut. A prefix
+                // scan would merge them into zeroed stats, which changes
+                // no bit: a sum that starts at +0.0 never becomes -0.0.
+                Column::Bit(s) => consider(f, 0, bit_left[s as usize]),
+                Column::Codes(c) => {
+                    let cuts = bins.cuts(f as usize).len();
+                    let codes = bins.codes(c);
+                    bucket.clear();
+                    bucket.resize(cuts + 1, Stats::default());
+                    for &i in indices.iter() {
+                        bucket[codes[i as usize] as usize].merge(&Stats::of(labels[i as usize]));
+                    }
+                    // Prefix-scan: left side of cut j = buckets 0..=j.
+                    let mut left = Stats::default();
+                    for (j, b) in bucket[..cuts].iter().enumerate() {
+                        left.merge(b);
+                        consider(f, j, left);
+                    }
+                }
+            }
+        }
+        best.map(|b| Split { gain: b.gain.max(0.0), ..b })
     }
 }
 
@@ -499,14 +653,74 @@ mod tests {
     }
 
     #[test]
-    fn threshold_table_binary_feature() {
+    fn binned_matrix_binary_feature() {
         let mut d = Dataset::new(2);
         d.push(&[0.0, 5.0], 1.0);
         d.push(&[1.0, 7.0], 2.0);
         d.push(&[0.0, 9.0], 3.0);
-        let t = ThresholdTable::build(&d);
+        let t = BinnedMatrix::build(&d);
         assert_eq!(t.cuts(0), &[0.5]);
         assert_eq!(t.cuts(1), &[6.0, 8.0]);
+        assert_eq!(t.masks, [0b1, 0b0, 0b1]);
+        assert_eq!(t.codes, [0, 1, 2]);
+    }
+
+    /// The leaf node row `row` reaches.
+    fn leaf_of(tree: &DecisionTree, row: &[f64]) -> usize {
+        let mut at = 0;
+        while tree.nodes[at].feature != LEAF {
+            let node = tree.nodes[at];
+            at =
+                if row[node.feature as usize] <= node.value { at + 1 } else { node.right as usize };
+        }
+        at
+    }
+
+    #[test]
+    fn nan_features_fit_consistently_with_prediction() {
+        // Feature 0 is a bit (one cut), feature 1 takes ten values (codes),
+        // feature 2 is NaN throughout; features 0 and 1 are NaN in every
+        // 4th row. Integer labels keep the leaf sums exact.
+        let mut d = Dataset::new(3);
+        for i in 0..40 {
+            let nan = i % 4 == 0;
+            let bit = if nan { f64::NAN } else { (i % 3 % 2) as f64 };
+            let level = if nan { f64::NAN } else { (i % 10) as f64 };
+            d.push(&[bit, level, f64::NAN], ((i * 7) % 11) as f64);
+        }
+        let bins = BinnedMatrix::build(&d);
+        assert_eq!(bins.cuts(0), &[0.5]);
+        assert_eq!(bins.cuts(1).len(), 9);
+        assert!(bins.cuts(2).is_empty());
+        for task in [Task::Regression, Task::Classification] {
+            let labels: Vec<f64> = match task {
+                Task::Regression => d.labels().to_vec(),
+                Task::Classification => {
+                    d.labels().iter().map(|&y| (y > 5.0) as u8 as f64).collect()
+                }
+            };
+            let mut data = Dataset::new(3);
+            for (i, &y) in labels.iter().enumerate() {
+                data.push(d.row(i), y);
+            }
+            for max_depth in [1, 2, 3, 24] {
+                let params = TreeParams { max_depth, ..TreeParams::default() };
+                let tree = DecisionTree::fit(&data, task, &params, &mut rng());
+                assert!(tree.num_nodes() > 1, "depth {max_depth}: no split");
+                // Every row's prediction is the mean label of the rows
+                // that reach its leaf.
+                let mut sums = vec![(0.0, 0.0); tree.num_nodes()];
+                for i in 0..data.len() {
+                    let leaf = &mut sums[leaf_of(&tree, data.row(i))];
+                    leaf.0 += 1.0;
+                    leaf.1 += data.label(i);
+                }
+                for i in 0..data.len() {
+                    let (n, sum) = sums[leaf_of(&tree, data.row(i))];
+                    assert_eq!(tree.predict(data.row(i)), sum / n, "{task:?} depth {max_depth}");
+                }
+            }
+        }
     }
 
     #[test]
